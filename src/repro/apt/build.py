@@ -180,8 +180,3 @@ class APTBuilder(ParseListener):
             spool.append((node.symbol, node.production, node.attrs, node.is_limb))
         spool.finalize()
 
-
-def node_from_record(record) -> APTNode:
-    """Deserialize one spool record into an APT node."""
-    symbol, production, attrs, is_limb = record
-    return APTNode(symbol=symbol, production=production, attrs=dict(attrs), is_limb=is_limb)

@@ -1497,6 +1497,19 @@ class SpoolScanReport:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def sealed(self) -> bool:
+        return self.footer_ok
+
+    @property
+    def loss(self) -> Optional[int]:
+        """Records known lost (None when no footer says how many)."""
+        if self.ok:
+            return 0
+        if self.sealed_records is None:
+            return None
+        return self.sealed_records - self.n_valid
+
     def render(self) -> str:
         lines = [
             f"fsck {self.path}",
@@ -1682,17 +1695,6 @@ class RandomAccessReader:
         if spool.metrics is not None:
             spool.metrics.counter("spool.codec.random_reads").inc()
         return spool._decode(blobs[rec])
-
-    def raw_record(self, index: int) -> bytes:
-        """The still-encoded blob of record ``index`` — same block read
-        and verification as :meth:`record`, no decode.  The blob is
-        valid verbatim only in a spool whose codec was seeded from this
-        spool's name table (:class:`DiskSpool` ``seed_names``)."""
-        block, rec = self.locate(index)
-        blobs = self._load_block(block)
-        if self.spool.metrics is not None:
-            self.spool.metrics.counter("spool.codec.random_reads").inc()
-        return blobs[rec]
 
     def raw_range(self, start: int, end: int) -> Tuple[List[bytes], int]:
         """All still-encoded blobs of records ``[start, end)`` plus the

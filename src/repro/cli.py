@@ -11,10 +11,10 @@ Subcommands::
                                             traced translation (obs subsystem)
     python -m repro profile FILE.ag [INPUT] per-overlay/per-pass time, I/O,
                                             and peak-memory tables
-    python -m repro fsck SPOOL [--salvage OUT]
-                                            verify an APT spool file or a
-                                            provenance log; recover the valid
-                                            prefix into OUT
+    python -m repro fsck PATH [--salvage OUT]
+                                            verify any durable artifact (or
+                                            the one a directory holds);
+                                            recover the valid prefix into OUT
     python -m repro debug why|history|step|summary DIR [...]
                                             time-travel queries over a recorded
                                             run (repro run ... --record DIR)
@@ -403,223 +403,93 @@ def _say(args):
     return print
 
 
-def _fsck_emit(args, report, fmt: str, code: int, **extra) -> int:
-    """Common tail of every fsck path: emit the ``--json`` document
-    (artifact path, format, verdict, loss count) and return the exit
-    code unchanged — scripts keep branching on 0/1/2 either way."""
-    if getattr(args, "json", False):
+def _emit_fsck_doc(args, path: str, fmt, report, code: int,
+                   salvaged: bool = False) -> int:
+    """Emit the ``--json`` document — the same keys for every format —
+    and return the exit code unchanged (scripts keep branching on
+    0/1/2 either way)."""
+    if args.json:
         import json
 
         doc = {
-            "path": args.spool,
-            "format": fmt,
-            "verdict": ("clean" if code == 0 else
+            "path": path,
+            "format": fmt.name if fmt is not None else None,
+            "verdict": ("missing" if report is None else
+                        "clean" if code == 0 else
                         "salvaged-with-loss" if code == 2 else "corrupt"),
             "exit": code,
-            "n_valid": getattr(report, "n_valid", None),
+            "n_valid": report.n_valid if report is not None else None,
+            "sealed": report.sealed if report is not None else False,
+            "loss": report.loss if report is not None else None,
         }
-        err = getattr(report, "error", None)
-        if err is not None:
-            doc["error"] = {"reason": err.reason, "locus": err.locus()}
-        if getattr(args, "salvage", None):
+        if report is not None and report.error is not None:
+            doc["error"] = {
+                "reason": report.error.reason,
+                "locus": report.error.locus(),
+            }
+        if salvaged:
             doc["salvaged_to"] = args.salvage
-        doc.update(extra)
         print(json.dumps(doc, sort_keys=True))
     return code
 
 
 def cmd_fsck(args) -> int:
-    """Verify (and optionally salvage) a durable artifact file.
+    """Verify (and optionally salvage) any durable artifact.
 
-    Exit status: 0 clean, 1 corrupt (or missing), 2 corrupt but the
-    longest checksum-valid prefix was recovered via ``--salvage``
-    (salvaged with loss).  ``--quiet`` suppresses all output so scripts
-    can branch on the code alone.
+    The format is sniffed through :data:`repro.formats.FORMATS`; a
+    directory resolves to the artifact it holds.  Exit status: 0 clean,
+    1 corrupt, missing or unsalvageable (``--salvage`` then writes
+    nothing), 2 corrupt but the longest checksum-valid prefix was
+    recovered via ``--salvage`` (salvaged with loss).  ``--quiet``
+    suppresses all output so scripts can branch on the code alone.
     """
-    from repro.apt.storage import salvage_spool, scan_spool
-    from repro.errors import Diagnostic, Severity, SourceLocation
+    from repro.errors import Diagnostic, ReproError, Severity, SourceLocation
+    from repro.formats import resolve
     from repro.obs import MetricsRegistry
 
     say = _say(args)
+    # Diagnostics go to stderr even under --json (stdout is the document).
+    warn = (lambda *a, **k: None) if args.quiet else print
     metrics = MetricsRegistry()
-    if not os.path.exists(args.spool):
-        say(f"error: no such spool file: {args.spool}", file=sys.stderr)
-        if getattr(args, "json", False):
-            import json
-
-            print(json.dumps({
-                "path": args.spool, "format": None,
-                "verdict": "missing", "exit": 1,
-            }, sort_keys=True))
-        return 1
-    from repro.obs.provenance import looks_like_provenance_log
-    from repro.passes.incremental import looks_like_memo_manifest
-    from repro.serve.journal import looks_like_request_journal
-
-    memo_target = args.spool
-    if os.path.isdir(args.spool):
-        from repro.passes.incremental import MEMO_LOG
-
-        memo_target = os.path.join(args.spool, MEMO_LOG)
-    if looks_like_provenance_log(args.spool):
-        return _fsck_provenance(args, metrics)
-    if looks_like_request_journal(args.spool):
-        return _fsck_journal(args, metrics)
-    if looks_like_memo_manifest(memo_target):
-        return _fsck_memo(args, metrics)
-    if args.salvage:
-        report = salvage_spool(args.spool, args.salvage, metrics=metrics)
-    else:
-        report = scan_spool(args.spool, metrics=metrics)
+    path, fmt = resolve(args.spool)
+    if fmt is None:
+        what = ("no recognized artifact in directory"
+                if os.path.isdir(path) else "no such file")
+        warn(f"error: {what}: {args.spool}", file=sys.stderr)
+        return _emit_fsck_doc(args, path, None, None, 1)
+    report = None
+    if args.salvage and fmt.salvage is None:
+        warn(f"error: a {fmt.name} has no salvage (`repro doctor --repair` "
+             "deletes it); wrote nothing", file=sys.stderr)
+    elif args.salvage:
+        try:
+            report = fmt.salvage(path, args.salvage, metrics=metrics)
+        except ReproError as exc:
+            warn(f"error: cannot salvage {path}: {exc}; wrote nothing",
+                 file=sys.stderr)
+    salvaged = report is not None
+    if report is None:
+        report = fmt.scan(path, metrics=metrics)
     say(report.render())
-    if args.salvage:
-        say(
-            f"salvaged {report.n_valid} record(s) "
-            f"({report.valid_data_bytes:,} payload bytes) -> {args.salvage}"
-        )
+    if salvaged:
+        say(f"salvaged {report.n_valid} record(s) -> {args.salvage}")
     if args.metrics:
         say()
         say(metrics.render())
-    loss = (report.sealed_records - report.n_valid
-            if report.sealed_records is not None else None)
     if report.ok:
-        return _fsck_emit(args, report, f"spool-v{report.version}", 0, loss=0)
+        return _emit_fsck_doc(args, path, fmt, report, 0, salvaged)
     # A location-bearing diagnostic: the damaged region, named the same
     # way grammar errors name their source coordinates.
     err = report.error
     diag = Diagnostic(
         Severity.ERROR,
-        f"spool corrupt at {err.locus()} [{err.reason}]; "
-        f"valid prefix: {report.n_valid} record(s), "
-        f"{report.valid_end_offset} bytes",
-        SourceLocation(filename=args.spool),
-    )
-    say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, f"spool-v{report.version}",
-                      2 if args.salvage else 1, loss=loss)
-
-
-def _fsck_provenance(args, metrics) -> int:
-    """The fsck path for PROV1 provenance logs (sniffed by header)."""
-    from repro.errors import Diagnostic, Severity, SourceLocation
-    from repro.obs.provenance import salvage_provenance, scan_provenance
-
-    say = _say(args)
-    if args.salvage:
-        report = salvage_provenance(args.spool, args.salvage, metrics=metrics)
-    else:
-        report = scan_provenance(args.spool, metrics=metrics)
-    say(report.render())
-    if args.salvage:
-        say(f"salvaged {report.n_valid} record(s) -> {args.salvage}")
-    if args.metrics:
-        say()
-        say(metrics.render())
-    if report.ok:
-        return _fsck_emit(args, report, "PROV1", 0,
-                          loss=0, n_events=report.n_events)
-    err = report.error
-    diag = Diagnostic(
-        Severity.ERROR,
-        f"provenance log corrupt at {err.locus()} [{err.reason}]; "
+        f"{fmt.name} corrupt at {err.locus()} [{err.reason}]; "
         f"valid prefix: {report.n_valid} record(s)",
-        SourceLocation(filename=args.spool),
+        SourceLocation(filename=path),
     )
-    say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, "PROV1", 2 if args.salvage else 1,
-                      loss=None, n_events=report.n_events)
-
-
-def _fsck_journal(args, metrics) -> int:
-    """The fsck path for SRVJ1 request journals (sniffed by header).
-
-    A clean *unsealed* journal (the daemon was killed rather than
-    drained) exits 0 — that is an expected crash artifact whose valid
-    prefix is authoritative; record-level damage exits 1 (2 when
-    ``--salvage`` recovered the prefix).
-    """
-    from repro.errors import Diagnostic, Severity, SourceLocation
-    from repro.serve.journal import (
-        replay_journal,
-        salvage_journal,
-        scan_journal,
-    )
-
-    say = _say(args)
-    if args.salvage:
-        report = salvage_journal(args.spool, args.salvage, metrics=metrics)
-    else:
-        report = scan_journal(args.spool, metrics=metrics)
-    say(report.render())
-    if report.ok:
-        state = replay_journal(args.spool)
-        say(
-            f"  requests: {len(state.completed)} completed, "
-            f"{len(state.failed)} failed, "
-            f"{len(state.in_flight)} in flight at shutdown"
-            + (f", {len(state.duplicates)} DUPLICATED"
-               if state.duplicates else "")
-        )
-    if args.salvage:
-        say(f"salvaged {report.n_valid} record(s) -> {args.salvage}")
-    if args.metrics:
-        say()
-        say(metrics.render())
-    if report.ok:
-        return _fsck_emit(args, report, "SRVJ1", 0,
-                          loss=report.lost_records, sealed=report.sealed)
-    err = report.error
-    diag = Diagnostic(
-        Severity.ERROR,
-        f"request journal corrupt at {err.locus()} [{err.reason}]; "
-        f"valid prefix: {report.n_valid} record(s)",
-        SourceLocation(filename=args.spool),
-    )
-    say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, "SRVJ1", 2 if args.salvage else 1,
-                      loss=report.lost_records, sealed=report.sealed)
-
-
-def _fsck_memo(args, metrics) -> int:
-    """The fsck path for MEMO1 incremental-memo manifests (sniffed by
-    header).  Memo damage is never fatal to a translation — the loader
-    treats any corruption as a silent cold miss — so fsck's job here is
-    naming the damaged entry and, with ``--salvage``, resealing the
-    verified prefix so the surviving entries stay warm.
-    """
-    from repro.errors import Diagnostic, Severity, SourceLocation
-    from repro.passes.incremental import salvage_memo, scan_memo
-
-    say = _say(args)
-    if args.salvage:
-        report = salvage_memo(args.spool, args.salvage, metrics=metrics)
-    else:
-        report = scan_memo(args.spool, metrics=metrics)
-    say(report.render())
-    if args.salvage:
-        say(
-            f"salvaged {report.n_valid} memo "
-            f"entr{'y' if report.n_valid == 1 else 'ies'} -> {args.salvage}"
-        )
-    if args.metrics:
-        say()
-        say(metrics.render())
-    loss = (report.n_entries - report.n_valid
-            if report.n_entries is not None else None)
-    if report.ok:
-        return _fsck_emit(args, report, "MEMO1", 0,
-                          loss=0, n_entries=report.n_entries)
-    err = report.error
-    diag = Diagnostic(
-        Severity.ERROR,
-        f"memo manifest corrupt at {err.locus()} [{err.reason}]; "
-        f"valid prefix: {report.n_valid} entry line(s); "
-        "translation falls back to a cold miss, never a wrong answer",
-        SourceLocation(filename=args.spool),
-    )
-    say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, "MEMO1", 2 if args.salvage else 1,
-                      loss=loss, n_entries=report.n_entries)
+    warn(str(diag), file=sys.stderr)
+    return _emit_fsck_doc(args, path, fmt, report, 2 if salvaged else 1,
+                          salvaged)
 
 
 def cmd_doctor(args) -> int:
@@ -1037,20 +907,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fsck = sub.add_parser(
         "fsck",
-        help="verify an APT spool file's header, record/block checksums, "
-        "name table, and sealed footer",
+        help="verify any durable artifact (spool, cache entry, provenance "
+        "log, request journal, memo manifest, checkpoint manifest): "
+        "checksums, framing, and seal",
     )
     p_fsck.add_argument(
-        "spool",
-        help="path to a .spool file (v1, v2, or v3), a provenance "
-        ".ndjson log, a request journal, or an incremental memo "
-        "manifest / memo directory (format is sniffed)",
+        "spool", metavar="PATH",
+        help="an artifact file, or a record / journal / memo / "
+        "checkpoint directory (the format is sniffed; see "
+        "docs/robustness.md)",
     )
     p_fsck.add_argument(
         "--salvage", metavar="OUT",
-        help="recover the longest checksum-valid prefix into a fresh "
-        "sealed spool at OUT (v3 sources are rescued as v3 with their "
-        "name table; v1/v2 as v2)",
+        help="recover the longest checksum-valid prefix into a freshly "
+        "sealed artifact of the same format at OUT (v1 spools are "
+        "rescued as v2); writes nothing when there is no valid header",
     )
     p_fsck.add_argument(
         "--metrics", action="store_true",

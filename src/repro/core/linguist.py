@@ -789,6 +789,22 @@ class Translator:
         the parse tree and emits it in prefix order.
         """
         initial = factory("initial")
+        try:
+            self._fill_initial(initial, tokens, tracer, metrics)
+        except BaseException:
+            # A scan/parse error must not leave a half-written spool
+            # (or a record directory's ``initial.spool.tmp``) behind.
+            initial.close()
+            raise
+        return initial
+
+    def _fill_initial(
+        self,
+        initial: Spool,
+        tokens,
+        tracer=None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
         if tracer is not None and initial.tracer is None:
             initial.tracer = tracer
         if tracer is not None:
@@ -824,4 +840,3 @@ class Translator:
                 )
                 builder.finish()
                 builder.emit_prefix(initial)
-        return initial

@@ -1,14 +1,14 @@
 """``repro doctor``: the unified crash-recovery sweeper.
 
-Six durable formats can leave artifacts on a host — sealed spools
+Every durable format in :data:`repro.formats.FORMATS` — sealed spools
 (v1/v2/v3), build-cache entries, PROV1 provenance logs, SRVJ1 request
 journals, checkpoint manifests, and MEMO1 incremental-memo manifests
-(with their generation-numbered splice spools) — and a crash, an
-ENOSPC, or a killed daemon can leave any of them mid-flight.  ``repro fsck`` judges
-*one* file; the doctor walks a whole tree, classifies **every** path
-by sniffing magic (reusing fsck's readers), and with ``--repair``
-salvages what it can and garbage-collects the rest, so a host always
-converges back to "every artifact sealed or gone".
+(with their generation-numbered splice spools) — can be left
+mid-flight by a crash, an ENOSPC, or a killed daemon.  ``repro fsck``
+judges *one* file; the doctor walks a whole tree, classifies **every**
+path through the same registry, and with ``--repair`` salvages what
+it can and garbage-collects the rest, so a host always converges back
+to "every artifact sealed or gone".
 
 Classification (``ArtifactState``):
 
@@ -30,12 +30,13 @@ state                     meaning
 ``foreign``               not one of ours; never touched
 ========================  ===================================================
 
-Repair policy (``--repair``): salvage keeps data (corrupt spools,
-provenance logs, and journals are rewritten to their checksum-valid
-prefix in place, atomically); deletion is reserved for artifacts whose
-loss is safe by design (corrupt cache entries rebuild on miss, tmp
-debris was never observable, orphaned pass spools are re-derived on
-resume); checkpoint manifests are *truncated* at the first damaged
+Repair policy (``--repair``): salvage keeps data (a corrupt artifact
+whose format has a salvage is rewritten to its checksum-valid prefix
+in place, atomically); deletion is reserved for artifacts whose loss
+is safe by design (corrupt cache entries rebuild on miss, tmp debris
+was never observable, orphaned pass spools are re-derived on resume,
+a log with no valid header has nothing to salvage); checkpoint
+manifests are *truncated* at the first damaged
 pass so ``--resume`` restarts from the last good pass instead of
 refusing.  The serve daemon runs a doctor pass over its journal and
 cache directories at startup, so a crashed daemon always boots clean.
@@ -47,33 +48,17 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.apt.storage import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    MAGIC,
-    MAGIC_V3,
-    salvage_spool,
-    scan_spool,
+from repro.apt.storage import scan_spool
+from repro.formats import (
+    ArtifactFormat,
+    ArtifactState,
+    by_name,
+    load_manifest_doc,
+    sniff,
 )
-from repro.buildcache.store import ENTRY_SUFFIX, MAGIC as CACHE_MAGIC
-from repro.obs.provenance import (
-    looks_like_provenance_log,
-    salvage_provenance,
-    scan_provenance,
-)
-from repro.passes.incremental import (
-    looks_like_memo_manifest,
-    salvage_memo,
-    scan_memo,
-)
-from repro.serve.journal import (
-    looks_like_request_journal,
-    salvage_journal,
-    scan_journal,
-)
+from repro.passes.incremental import scan_memo
 
 __all__ = [
     "ArtifactFormat",
@@ -81,23 +66,8 @@ __all__ = [
     "ArtifactReport",
     "DoctorReport",
     "run_doctor",
+    "sniff_format",
 ]
-
-#: Checkpoint manifest file name (mirrors CheckpointManager.MANIFEST
-#: without importing the evalgen driver at doctor-import time).
-MANIFEST_NAME = "checkpoint.json"
-
-
-class ArtifactFormat:
-    SPOOL_V3 = "spool-v3"
-    SPOOL_V2 = "spool-v2"
-    SPOOL_V1 = "spool-v1"
-    CACHE_ENTRY = "cache-entry"
-    PROVENANCE = "provenance-log"
-    JOURNAL = "request-journal"
-    MANIFEST = "checkpoint-manifest"
-    MEMO = "memo-manifest"
-    UNKNOWN = "unknown"
 
 
 #: Generation-numbered splice-source spools living beside a MEMO1
@@ -105,16 +75,6 @@ class ArtifactFormat:
 #: them as checkpoint pass spools: their lifecycle belongs to the memo
 #: manifest, not to ``checkpoint.json``.
 _MEMO_SPOOL_RE = re.compile(r"^pass\d+\.g\d+\.spool$")
-
-
-class ArtifactState:
-    SEALED = "sealed"
-    UNSEALED = "unsealed"
-    UNSEALED_TMP = "unsealed-tmp"
-    CORRUPT = "corrupt"
-    ORPHANED = "orphaned"
-    LEGACY = "legacy"
-    FOREIGN = "foreign"
 
 
 @dataclass
@@ -144,9 +104,6 @@ class DoctorReport:
 
     artifacts: List[ArtifactReport] = field(default_factory=list)
     repaired: bool = False
-
-    def by_state(self, state: str) -> List[ArtifactReport]:
-        return [a for a in self.artifacts if a.state == state]
 
     @property
     def clean(self) -> bool:
@@ -193,165 +150,11 @@ class DoctorReport:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# sniffing
-# ---------------------------------------------------------------------------
-
-
-def _head_bytes(path: str, n: int = 4096) -> bytes:
-    try:
-        with open(path, "rb") as f:
-            return f.read(n)
-    except OSError:
-        return b""
-
-
 def sniff_format(path: str) -> str:
-    """Identify which of the five formats ``path`` holds (by content,
-    not name — a renamed artifact still classifies)."""
-    head = _head_bytes(path)
-    if head.startswith(MAGIC_V3):
-        return ArtifactFormat.SPOOL_V3
-    if head.startswith(MAGIC):
-        return ArtifactFormat.SPOOL_V2
-    if head.startswith(CACHE_MAGIC):
-        return ArtifactFormat.CACHE_ENTRY
-    if looks_like_provenance_log(path):
-        return ArtifactFormat.PROVENANCE
-    if looks_like_request_journal(path):
-        return ArtifactFormat.JOURNAL
-    if looks_like_memo_manifest(path):
-        return ArtifactFormat.MEMO
-    if os.path.basename(path) == MANIFEST_NAME:
-        return ArtifactFormat.MANIFEST
-    name = path[: -len(".tmp")] if path.endswith(".tmp") else path
-    if name.endswith(".spool") and head:
-        # v1 spools have no magic: a bare length-framed pickle stream.
-        return ArtifactFormat.SPOOL_V1
-    return ArtifactFormat.UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# the sweep
-# ---------------------------------------------------------------------------
-
-
-def _load_manifest_doc(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or "completed" not in doc:
-        return None
-    return doc
-
-
-def _classify_spool(path: str, fmt: str) -> ArtifactReport:
-    report = scan_spool(path)
-    if report.version == FORMAT_V1:
-        return ArtifactReport(
-            path, ArtifactFormat.SPOOL_V1, ArtifactState.LEGACY,
-            detail=f"{report.n_valid} record(s), no integrity data",
-        )
-    if report.ok:
-        return ArtifactReport(
-            path, fmt, ArtifactState.SEALED,
-            detail=f"{report.n_valid} record(s)",
-        )
-    return ArtifactReport(
-        path, fmt, ArtifactState.CORRUPT,
-        detail=(
-            f"valid prefix {report.n_valid} record(s); "
-            f"{report.error.reason if report.error else 'damaged'}"
-        ),
-    )
-
-
-def _classify_cache_entry(path: str) -> ArtifactReport:
-    from repro.buildcache.store import BuildCache
-    from repro.errors import CacheCorruptionError
-
-    name = os.path.basename(path)
-    key = name[: -len(ENTRY_SUFFIX)] if name.endswith(ENTRY_SUFFIX) else name
-    cache = BuildCache.__new__(BuildCache)
-    try:
-        cache._read_sealed(path, key)
-    except FileNotFoundError:
-        return ArtifactReport(
-            path, ArtifactFormat.CACHE_ENTRY, ArtifactState.CORRUPT,
-            detail="vanished mid-scan",
-        )
-    except CacheCorruptionError as exc:
-        return ArtifactReport(
-            path, ArtifactFormat.CACHE_ENTRY, ArtifactState.CORRUPT,
-            detail=exc.reason,
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.CACHE_ENTRY, ArtifactState.SEALED
-    )
-
-
-def _classify_provenance(path: str) -> ArtifactReport:
-    report = scan_provenance(path)
-    if report.ok:
-        return ArtifactReport(
-            path, ArtifactFormat.PROVENANCE, ArtifactState.SEALED,
-            detail=f"{report.n_events} event(s)",
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.PROVENANCE, ArtifactState.CORRUPT,
-        detail=f"valid prefix {report.n_valid} record(s)",
-    )
-
-
-def _classify_journal(path: str) -> ArtifactReport:
-    report = scan_journal(path)
-    detail = f"{report.n_valid} record(s)"
-    if report.gaps:
-        detail += (
-            f", {report.gaps} gap(s)/{report.lost_records} dropped "
-            "(disk pressure)"
-        )
-    if report.ok and report.sealed:
-        return ArtifactReport(
-            path, ArtifactFormat.JOURNAL, ArtifactState.SEALED, detail=detail
-        )
-    if report.ok:
-        if report.torn_tail:
-            detail += " + torn tail"
-        return ArtifactReport(
-            path, ArtifactFormat.JOURNAL, ArtifactState.UNSEALED,
-            detail=detail,
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.JOURNAL, ArtifactState.CORRUPT,
-        detail=(
-            f"valid prefix {report.n_valid} record(s); "
-            f"{report.error.reason if report.error else 'damaged'}"
-        ),
-    )
-
-
-def _classify_memo(path: str) -> ArtifactReport:
-    report = scan_memo(path)
-    if report.ok:
-        return ArtifactReport(
-            path, ArtifactFormat.MEMO, ArtifactState.SEALED,
-            detail=(
-                f"{report.n_valid} memo "
-                f"entr{'y' if report.n_valid == 1 else 'ies'}"
-            ),
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.MEMO, ArtifactState.CORRUPT,
-        detail=(
-            f"valid prefix {report.n_valid} entr"
-            f"{'y' if report.n_valid == 1 else 'ies'}; "
-            f"{report.error.reason if report.error else 'damaged'} "
-            "(loads as a cold miss)"
-        ),
-    )
+    """The registry name of the format ``path`` holds (by content, not
+    name — a renamed artifact still classifies)."""
+    fmt = sniff(path)
+    return fmt.name if fmt is not None else ArtifactFormat.UNKNOWN
 
 
 def _verify_manifest_entry(
@@ -390,10 +193,10 @@ def run_doctor(
         for root, _dirs, files in os.walk(directory):
             for name in sorted(files):
                 path = os.path.join(root, name)
-                art = _classify_path(path)
+                art = _classify(path)
                 doctor.artifacts.append(art)
                 if art.format == ArtifactFormat.MANIFEST:
-                    doc = _load_manifest_doc(path)
+                    doc = load_manifest_doc(path)
                     if doc is not None:
                         manifests.append((path, doc))
                 if (
@@ -416,42 +219,20 @@ def run_doctor(
     return doctor
 
 
-def _classify_path(path: str) -> ArtifactReport:
+def _classify(path: str) -> ArtifactReport:
+    fmt = sniff(path)
+    name = fmt.name if fmt is not None else ArtifactFormat.UNKNOWN
     if path.endswith(".tmp") or ".tmp" in os.path.basename(path)[-12:]:
         # Staging debris (including the unique ``<name>.<rand>.tmp``
         # the cache writer uses): a crash between open and rename.
-        fmt = sniff_format(path)
         return ArtifactReport(
-            path,
-            fmt if fmt != ArtifactFormat.UNKNOWN else ArtifactFormat.UNKNOWN,
-            ArtifactState.UNSEALED_TMP,
+            path, name, ArtifactState.UNSEALED_TMP,
             detail="staging file never renamed into place",
         )
-    fmt = sniff_format(path)
-    if fmt in (ArtifactFormat.SPOOL_V3, ArtifactFormat.SPOOL_V2):
-        return _classify_spool(path, fmt)
-    if fmt == ArtifactFormat.SPOOL_V1:
-        return _classify_spool(path, fmt)
-    if fmt == ArtifactFormat.CACHE_ENTRY:
-        return _classify_cache_entry(path)
-    if fmt == ArtifactFormat.PROVENANCE:
-        return _classify_provenance(path)
-    if fmt == ArtifactFormat.JOURNAL:
-        return _classify_journal(path)
-    if fmt == ArtifactFormat.MEMO:
-        return _classify_memo(path)
-    if fmt == ArtifactFormat.MANIFEST:
-        doc = _load_manifest_doc(path)
-        if doc is None:
-            return ArtifactReport(
-                path, ArtifactFormat.MANIFEST, ArtifactState.CORRUPT,
-                detail="manifest does not parse",
-            )
-        return ArtifactReport(
-            path, ArtifactFormat.MANIFEST, ArtifactState.SEALED,
-            detail=f"{len(doc.get('completed', []))} pass(es) recorded",
-        )
-    return ArtifactReport(path, ArtifactFormat.UNKNOWN, ArtifactState.FOREIGN)
+    if fmt is None:
+        return ArtifactReport(path, name, ArtifactState.FOREIGN)
+    state, detail = fmt.classify(fmt.scan(path))
+    return ArtifactReport(path, name, state, detail=detail)
 
 
 def _mark_checkpoint_orphans(
@@ -512,92 +293,53 @@ def _mark_memo_orphans(
 
 
 def _repair_artifact(art: ArtifactReport, metrics=None) -> None:
+    fmt = by_name(art.format)
     if art.state == ArtifactState.UNSEALED_TMP:
-        # Provenance tmp logs can hold a salvageable event prefix; keep
-        # the data when the sealed log never made it.
-        if art.format == ArtifactFormat.PROVENANCE:
-            final = art.path[: -len(".tmp")]
-            if not os.path.exists(final):
-                try:
-                    report = salvage_provenance(
-                        art.path, final, metrics=metrics
-                    )
+        final = art.path[: -len(".tmp")]
+        if (
+            fmt is not None
+            and fmt.rescue_tmp
+            and art.path.endswith(".tmp")
+            and not os.path.exists(final)
+        ):
+            try:
+                report = fmt.salvage(art.path, final, metrics=metrics)
+            except Exception:
+                pass
+            else:
+                # The salvage staged through this very name; whatever
+                # is left of the debris goes.
+                if os.path.exists(art.path):
                     os.unlink(art.path)
-                    art.action = (
-                        "salvaged" if report.ok else "salvaged-with-loss"
-                    )
-                    return
-                except Exception:
-                    pass
-        try:
-            os.unlink(art.path)
-            art.action = "deleted"
-        except FileNotFoundError:
-            # A sibling repair already consumed this path: in-place
-            # salvage of the final artifact stages through the very
-            # same ``.tmp`` name and renames it away.  Gone is gone.
-            art.action = "deleted"
-        except OSError:
-            pass
-        return
-    if art.state == ArtifactState.ORPHANED:
-        try:
-            os.unlink(art.path)
-            art.action = "deleted"
-        except FileNotFoundError:
-            art.action = "deleted"
-        except OSError:
-            pass
-        return
-    if art.state != ArtifactState.CORRUPT:
-        return
-    if art.format in (ArtifactFormat.SPOOL_V3, ArtifactFormat.SPOOL_V2):
-        try:
-            salvage_spool(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.CACHE_ENTRY:
-        # By design: a damaged cache entry is a rebuildable miss.
+                art.action = "salvaged" if report.ok else "salvaged-with-loss"
+                return
         _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.PROVENANCE:
-        try:
-            salvage_provenance(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.JOURNAL:
-        try:
-            salvage_journal(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.MEMO:
-        # Either way the translation stays correct: a salvaged memo
-        # keeps its verified prefix warm, a deleted one is a full cold
-        # miss — never a wrong answer.
-        try:
-            salvage_memo(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.MANIFEST:
+    elif art.state == ArtifactState.ORPHANED:
         _unlink_as_repair(art)
-        return
-    _unlink_as_repair(art)
+    elif art.state == ArtifactState.CORRUPT:
+        if fmt is not None and fmt.salvage is not None:
+            try:
+                fmt.salvage(art.path, art.path, metrics=metrics)
+                art.action = "salvaged-with-loss"
+                return
+            except Exception:
+                pass
+        # No salvage (a cache entry rebuilds on miss, an unparseable
+        # manifest restarts the run) or nothing to salvage under.
+        _unlink_as_repair(art)
 
 
 def _unlink_as_repair(art: ArtifactReport) -> None:
     try:
         os.unlink(art.path)
-        art.action = "deleted"
-    except OSError:
+    except FileNotFoundError:
+        # A sibling repair already consumed this path: in-place salvage
+        # of the final artifact stages through the very same ``.tmp``
+        # name and renames it away.  Gone is gone.
         pass
+    except OSError:
+        return
+    art.action = "deleted"
 
 
 def _repair_manifest(

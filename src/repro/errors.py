@@ -121,9 +121,16 @@ class DiagnosticSink:
 class ReproError(Exception):
     """Base class for every error raised by the repro package."""
 
+    #: Short machine-readable failure tag; integrity errors narrow it.
+    reason = "error"
+
     def __init__(self, message: str, diagnostics: Optional[List[Diagnostic]] = None):
         super().__init__(message)
         self.diagnostics: List[Diagnostic] = list(diagnostics or [])
+
+    def locus(self) -> str:
+        """Where the failure is; integrity errors name the record."""
+        return "file"
 
 
 class ScanError(ReproError):
@@ -298,80 +305,67 @@ class PlaneCorruptionError(PlaneError):
         self.reason = reason
 
 
+class SealedLogCorruptionError(ReproError):
+    """A sealed line log (:mod:`repro.util.sealedlog`) failed an
+    integrity check.
+
+    PROV1 provenance logs, SRVJ1 request journals and MEMO1 memo
+    manifests are line-framed NDJSON where every record carries its own
+    CRC32 and the seal line covers the whole stream; damage is reported
+    against the exact record so ``repro fsck`` can name the valid
+    prefix.  ``record_index`` is the 0-based line index of the damaged
+    record (``None`` when the file as a whole is unusable) and
+    ``reason`` is a short machine-readable tag (``"framing"``,
+    ``"checksum"``, ``"header"``, ``"seal"``, ``"unsealed"``, ``"io"``;
+    memo loads add ``"identity"``, ``"stale"``, ``"spool"``,
+    ``"range"``).
+    """
+
+    #: What the log is called in messages and ``robust.*`` counters.
+    noun = "log"
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        record_index: Optional[int] = None,
+        path: Optional[str] = None,
+        reason: str = "corrupt",
+        diagnostics: Optional[List[Diagnostic]] = None,
+    ):
+        super().__init__(message, diagnostics=diagnostics)
+        self.record_index = record_index
+        self.path = path
+        self.reason = reason
+
+    def locus(self) -> str:
+        """Human-readable ``record N`` locator (matches the spool
+        corruption convention so fsck output renders uniformly)."""
+        rec = "?" if self.record_index is None else str(self.record_index)
+        return f"record {rec}"
+
+
 class ProvenanceError(ReproError):
     """The attribute-provenance subsystem could not record or answer a
     query (missing log, malformed node path, unknown attribute)."""
 
 
-class ProvenanceCorruptionError(ProvenanceError):
-    """A sealed provenance log failed an integrity check.
+class ProvenanceCorruptionError(SealedLogCorruptionError, ProvenanceError):
+    """A sealed provenance log failed an integrity check, so ``repro
+    debug`` degrades into a diagnosis instead of a crash."""
 
-    Provenance logs are line-framed NDJSON where every record carries
-    its own CRC32 and the seal line covers the whole stream; any damage
-    is reported against the exact record so ``repro debug`` degrades
-    into a diagnosis instead of a crash.  ``record_index`` is the
-    0-based line index of the damaged record (``None`` when the file as
-    a whole is unusable), and ``reason`` is a short machine-readable
-    tag (``"framing"``, ``"checksum"``, ``"header"``, ``"seal"``,
-    ``"truncated"``).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        record_index: Optional[int] = None,
-        path: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.record_index = record_index
-        self.path = path
-        self.reason = reason
-
-    def locus(self) -> str:
-        """Human-readable ``record N`` locator (matches the spool
-        corruption convention so fsck output renders uniformly)."""
-        rec = "?" if self.record_index is None else str(self.record_index)
-        return f"record {rec}"
+    noun = "provenance"
 
 
-class MemoCorruptionError(ReproError):
+class MemoCorruptionError(SealedLogCorruptionError):
     """A sealed incremental-translation memo failed an integrity check.
 
-    MEMO1 manifests are line-framed NDJSON where every record carries
-    its own CRC32 and the seal line covers the whole stream.  Damage is
-    reported against the exact entry, but a corrupt memo is *never*
-    fatal to a translation: the loader degrades it to a silent cold
-    miss (``incremental.invalidations``) and ``repro fsck``/``doctor``
-    surface this error instead.  ``record_index`` is the 0-based line
-    index of the damaged record (``None`` when the file as a whole is
-    unusable), and ``reason`` is a short machine-readable tag
-    (``"framing"``, ``"checksum"``, ``"header"``, ``"seal"``,
-    ``"truncated"``, ``"identity"``, ``"stale"``, ``"spool"``,
-    ``"range"``, ``"missing"``).
+    A corrupt memo is *never* fatal to a translation: the loader
+    degrades it to a silent cold miss (``incremental.invalidations``)
+    and ``repro fsck``/``doctor`` surface this error instead.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        record_index: Optional[int] = None,
-        path: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.record_index = record_index
-        self.path = path
-        self.reason = reason
-
-    def locus(self) -> str:
-        """Human-readable ``record N`` locator (matches the spool
-        corruption convention so fsck output renders uniformly)."""
-        rec = "?" if self.record_index is None else str(self.record_index)
-        return f"record {rec}"
+    noun = "memo"
 
 
 class ServeError(ReproError):
@@ -459,37 +453,10 @@ class GrammarUnavailable(ServeError):
         self.retry_after = retry_after
 
 
-class JournalCorruptionError(ServeError):
-    """A request journal failed an integrity check.
+class JournalCorruptionError(SealedLogCorruptionError, ServeError):
+    """A request journal failed an integrity check."""
 
-    The serve daemon's journal is line-framed NDJSON where every record
-    carries its own CRC32 (the PROV1 discipline); damage is reported
-    against the exact record so ``repro fsck`` can name the valid
-    prefix.  ``record_index`` is the 0-based line index of the damaged
-    record (``None`` when the file as a whole is unusable) and
-    ``reason`` is a short machine-readable tag (``"framing"``,
-    ``"checksum"``, ``"header"``, ``"seal"``, ``"truncated"``).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        record_index: Optional[int] = None,
-        path: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.record_index = record_index
-        self.path = path
-        self.reason = reason
-
-    def locus(self) -> str:
-        """Human-readable ``record N`` locator (matches the spool and
-        provenance corruption conventions for uniform fsck output)."""
-        rec = "?" if self.record_index is None else str(self.record_index)
-        return f"record {rec}"
+    noun = "journal"
 
 
 class GovernanceError(ReproError):

@@ -43,7 +43,6 @@ from repro.obs.provenance import (
     DebugSession,
     ProvenanceLog,
     ProvenanceRecorder,
-    ProvenanceScanReport,
     salvage_provenance,
     scan_provenance,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "DebugSession",
     "ProvenanceLog",
     "ProvenanceRecorder",
-    "ProvenanceScanReport",
     "salvage_provenance",
     "scan_provenance",
     "ChannelStats",

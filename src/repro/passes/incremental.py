@@ -13,8 +13,8 @@ next to nothing else (``memo_dir``) and holds, across translations of
 * the sealed v3 spool of **every pass** of the previous run
   (``pass<k>.g<N>.spool`` — generation-numbered so a splice source is
   never the file being written), and
-* a sealed ``MEMO1`` manifest (``memo.ndjson``, CRC-per-line NDJSON
-  with a seal line, exactly the PROV1 framing) of per-pass entries
+* a sealed ``MEMO1`` manifest (``memo.ndjson``, a sealed log in the
+  :mod:`repro.util.sealedlog` framing shared with PROV1) of per-pass entries
   mapping ``(subtree hash, inherited-context fingerprint)`` to the
   output record range that subtree produced, its input span, and the
   post-visit attribute/global state.
@@ -45,11 +45,9 @@ from __future__ import annotations
 import base64
 import bisect
 import hashlib
-import json
 import os
 import pickle
 import re
-import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ag.model import AttributeGrammar
@@ -58,12 +56,15 @@ from repro.errors import MemoCorruptionError
 from repro.lalr.grammar import EOF_SYMBOL
 from repro.obs.provenance import canonical_value
 from repro.util import atomic_write as _aw
+from repro.util import sealedlog
+from repro.util.sealedlog import LogFormat, ScanReport, StreamSeal, frame
 
 __all__ = [
     "MEMO_FORMAT",
     "MEMO_LOG",
     "MEMO_HIT",
     "DEFAULT_MIN_SPAN",
+    "MEMO_MANIFEST",
     "MemoEntry",
     "MemoScanReport",
     "MemoSession",
@@ -87,8 +88,6 @@ MEMO_LOG = "memo.ndjson"
 #: Subtrees smaller than this many APT records are never memoized —
 #: the fingerprint would cost more than the evaluation it saves.
 DEFAULT_MIN_SPAN = 8
-
-_SEPARATORS = (",", ":")
 
 _GEN_RE = re.compile(r"^pass(\d+)\.g(\d+)\.spool$")
 
@@ -612,7 +611,7 @@ class MemoEntry:
         self._payload: Optional[tuple] = None
         #: Cached framed manifest line (computed once; steady-state
         #: re-commits reuse it instead of re-serializing the entry).
-        self._line: Optional[str] = None
+        self._line: Optional[bytes] = None
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -640,10 +639,10 @@ class MemoEntry:
             self.out_len, self.n_skip, self.blob,
         )
 
-    def line(self) -> str:
+    def line(self) -> bytes:
         """The framed MEMO1 manifest line for this entry (cached)."""
         if self._line is None:
-            self._line = _frame_line(self.to_doc())
+            self._line = frame(self.to_doc()).encode("utf-8")
         return self._line
 
     def to_doc(self) -> Dict[str, Any]:
@@ -688,40 +687,33 @@ class MemoEntry:
         return entry
 
 
-def _frame_line(obj: Dict[str, Any]) -> str:
-    body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return f'{body[:-1]},"c":{crc}}}\n'
+class MemoScanReport(ScanReport):
+    """A MEMO1 scan: ``n_entries`` is the sealed entry count, ``spools``
+    the splice-source spools a *clean* manifest references (``repro
+    doctor`` tells live generations from stale debris with it)."""
+
+    @property
+    def n_entries(self) -> Optional[int]:
+        return self.n_sealed
+
+    @property
+    def spools(self) -> List[str]:
+        spools = (self.header or {}).get("spools") if self.ok else None
+        if not isinstance(spools, dict):
+            return []
+        return [
+            os.path.basename(str(desc.get("spool", "")))
+            for desc in spools.values()
+            if isinstance(desc, dict)
+        ]
 
 
-def _verify_line(line: str, index: int, path: str) -> Dict[str, Any]:
-    """Parse + CRC-check one manifest line; raise naming the record."""
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        raise MemoCorruptionError(
-            f"memo record {index} is not valid JSON ({exc})",
-            record_index=index,
-            path=path,
-            reason="framing",
-        ) from exc
-    if not isinstance(obj, dict) or "c" not in obj:
-        raise MemoCorruptionError(
-            f"memo record {index} has no checksum field",
-            record_index=index,
-            path=path,
-            reason="framing",
-        )
-    want = obj.pop("c")
-    body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-    if zlib.crc32(body.encode("utf-8")) != want:
-        raise MemoCorruptionError(
-            f"memo record {index} checksum mismatch (bit rot or torn write)",
-            record_index=index,
-            path=path,
-            reason="checksum",
-        )
-    return obj
+#: MEMO1's sealed-log rules: an unsealed manifest is corrupt (it is
+#: written whole, so a missing seal means a torn write).
+MEMO_MANIFEST = LogFormat(
+    MEMO_FORMAT, MemoCorruptionError, kinds=frozenset({"memo"}),
+    report_cls=MemoScanReport,
+)
 
 
 def _resolve_manifest_path(path_or_dir: str) -> str:
@@ -731,175 +723,30 @@ def _resolve_manifest_path(path_or_dir: str) -> str:
 
 
 def looks_like_memo_manifest(path: str) -> bool:
-    """Cheap sniff used by ``repro fsck``/``doctor`` to route files: a
-    memo manifest is NDJSON whose first line carries the MEMO1 tag."""
-    try:
-        with open(path, "rb") as f:
-            head = f.read(4096)
-    except OSError:
-        return False
-    first = head.split(b"\n", 1)[0]
-    return first.startswith(b"{") and b'"' + MEMO_FORMAT.encode() + b'"' in first
+    """True when ``path`` holds a MEMO1 manifest (sniffed by content)."""
+    from repro.formats import ArtifactFormat, sniff
 
-
-def _read_lines(path: str) -> List[str]:
-    """Read a manifest's lines, tolerating non-UTF8 byte damage.
-
-    ``errors="replace"`` keeps a flipped byte from turning into a
-    ``UnicodeDecodeError`` crash: the replacement character lands only
-    in the damaged line, whose per-line CRC then fails exactly where
-    the damage is — a typed :class:`MemoCorruptionError`, never an
-    unhandled decode exception.
-    """
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        return f.read().splitlines()
+    fmt = sniff(path)
+    return fmt is not None and fmt.name == ArtifactFormat.MEMO
 
 
 def _read_manifest(path: str) -> Tuple[Dict[str, Any], List[MemoEntry]]:
     """Fully verify a sealed manifest; return (header, entries)."""
-    try:
-        lines = _read_lines(path)
-    except OSError as exc:
-        raise MemoCorruptionError(
-            f"memo manifest unreadable: {exc}", path=path, reason="missing"
-        ) from exc
-    if not lines:
-        raise MemoCorruptionError(
-            "memo manifest is empty", path=path, reason="truncated"
-        )
-    header = _verify_line(lines[0], 0, path)
-    if header.get("e") != "hdr" or header.get("format") != MEMO_FORMAT:
-        raise MemoCorruptionError(
-            f"memo record 0 is not a {MEMO_FORMAT} header",
-            record_index=0,
-            path=path,
-            reason="header",
-        )
-    seal = _verify_line(lines[-1], len(lines) - 1, path)
-    if seal.get("e") != "seal":
-        raise MemoCorruptionError(
-            "memo manifest is not sealed (crash mid-write?)",
-            record_index=len(lines) - 1,
-            path=path,
-            reason="unsealed",
-        )
+    report, records = sealedlog.scan(path, MEMO_MANIFEST)
+    if not report.ok:
+        raise report.error
     entries: List[MemoEntry] = []
-    stream_crc = 0
-    for i, line in enumerate(lines[:-1]):
-        stream_crc = zlib.crc32((line + "\n").encode("utf-8"), stream_crc)
-        if i == 0:
-            continue
-        obj = _verify_line(line, i, path)
-        if obj.get("e") != "memo":
-            raise MemoCorruptionError(
-                f"memo record {i} has unknown kind {obj.get('e')!r}",
-                record_index=i,
-                path=path,
-                reason="framing",
-            )
+    for i, (obj, line) in enumerate(records[1:], 1):
         entry = MemoEntry.from_doc(obj, i, path)
-        entry._line = line + "\n"
+        entry._line = line + b"\n"
         entries.append(entry)
-    if seal.get("n") != len(lines) - 2:
-        raise MemoCorruptionError(
-            f"memo seal counts {seal.get('n')} entries, found "
-            f"{len(lines) - 2}",
-            record_index=len(lines) - 1,
-            path=path,
-            reason="seal",
-        )
-    if seal.get("crc") != stream_crc:
-        raise MemoCorruptionError(
-            "memo seal stream-CRC mismatch (lines reordered or lost)",
-            record_index=len(lines) - 1,
-            path=path,
-            reason="seal",
-        )
-    return header, entries
-
-
-class MemoScanReport:
-    """Outcome of a tolerant sweep over a memo manifest (``repro fsck``)."""
-
-    def __init__(
-        self,
-        path: str,
-        n_valid: int = 0,
-        n_entries: Optional[int] = None,
-        sealed: bool = False,
-        error: Optional[MemoCorruptionError] = None,
-    ):
-        self.path = path
-        #: Entry lines whose framing + checksum verified (header excluded).
-        self.n_valid = n_valid
-        #: Seal-line entry count (None when the seal is missing/damaged).
-        self.n_entries = n_entries
-        self.sealed = sealed
-        self.error = error
-        #: Basenames of the splice-source spools a *clean* manifest
-        #: references (``repro doctor`` uses this to tell live
-        #: generations from stale debris).
-        self.spools: List[str] = []
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def render(self) -> str:
-        head = self.path
-        if self.ok:
-            return (
-                f"{head}\n  format {MEMO_FORMAT}, sealed, "
-                f"{self.n_valid} memo entr{'y' if self.n_valid == 1 else 'ies'}"
-            )
-        return (
-            f"{head}\n  format {MEMO_FORMAT}: {self.error}\n"
-            f"  {self.n_valid} entry line(s) verified before the damage"
-        )
+    return report.header, entries
 
 
 def scan_memo(path: str, metrics=None) -> MemoScanReport:
-    """Sweep a memo manifest, verifying every line; never raises."""
+    """Sweep a memo manifest (or memo directory); never raises."""
     path = _resolve_manifest_path(path)
-    report = MemoScanReport(path=path)
-    try:
-        header, entries = _read_manifest(path)
-    except MemoCorruptionError as exc:
-        report.error = exc
-        # Count the valid prefix for the salvage report.
-        try:
-            lines = _read_lines(path)
-        except OSError:
-            lines = []
-        n = 0
-        for i, line in enumerate(lines):
-            try:
-                obj = _verify_line(line, i, path)
-            except MemoCorruptionError:
-                break
-            if i == 0 and (
-                obj.get("e") != "hdr" or obj.get("format") != MEMO_FORMAT
-            ):
-                break
-            if obj.get("e") == "memo":
-                n += 1
-        report.n_valid = n
-        if metrics is not None:
-            metrics.counter("robust.memo_scan_errors").inc()
-        return report
-    report.n_valid = len(entries)
-    report.n_entries = len(entries)
-    report.sealed = True
-    spools = header.get("spools")
-    if isinstance(spools, dict):
-        report.spools = [
-            os.path.basename(str(desc.get("spool", "")))
-            for desc in spools.values()
-            if isinstance(desc, dict)
-        ]
-    if metrics is not None:
-        metrics.counter("robust.memo_scans_clean").inc()
-    return report
+    return sealedlog.scan(path, MEMO_MANIFEST, metrics)[0]
 
 
 def salvage_memo(path: str, out: str, metrics=None) -> MemoScanReport:
@@ -908,47 +755,9 @@ def salvage_memo(path: str, out: str, metrics=None) -> MemoScanReport:
     every surviving entry is still integrity-checked against the spool
     identity at load time, so loss is a cold miss, never a wrong
     answer.  Returns the scan report of the *source*."""
-    path = _resolve_manifest_path(path)
-    report = scan_memo(path, metrics=metrics)
-    try:
-        lines = _read_lines(path)
-    except OSError:
-        lines = []
-    kept: List[str] = []
-    for i, line in enumerate(lines):
-        try:
-            obj = _verify_line(line, i, path)
-        except MemoCorruptionError:
-            break
-        if obj.get("e") == "seal":
-            break
-        if i == 0:
-            if obj.get("e") != "hdr" or obj.get("format") != MEMO_FORMAT:
-                break
-        elif obj.get("e") != "memo":
-            break
-        kept.append(line + "\n")
-    if not kept:
-        # Nothing recoverable: write an empty (but well-formed) doc so
-        # downstream loads take a clean cold miss.  Without a header we
-        # cannot even name the spool; emit a tombstone header.
-        kept = [
-            _frame_line(
-                {"e": "hdr", "format": MEMO_FORMAT, "salvaged": True}
-            )
-        ]
-    stream_crc = 0
-    for line in kept:
-        stream_crc = zlib.crc32(line.encode("utf-8"), stream_crc)
-    seal_line = _frame_line(
-        {"e": "seal", "n": len(kept) - 1, "crc": stream_crc}
+    return sealedlog.salvage(
+        _resolve_manifest_path(path), out, MEMO_MANIFEST, metrics
     )
-    with _aw.atomic_write(out, text=True, encoding="utf-8") as f:
-        f.writelines(kept)
-        f.write(seal_line)
-    if metrics is not None:
-        metrics.counter("robust.memo_entries_salvaged").inc(len(kept) - 1)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1386,16 +1195,13 @@ class MemoStore:
         # encode), and ``fsync=False`` because the manifest, like the
         # spools it references, is a cache: a torn write fails the seal
         # CRC on the next load and reads as a cold miss.
-        encoded = [_frame_line(header).encode("utf-8")]
-        encoded.extend(e.line().encode("utf-8") for e in entries)
-        stream_crc = 0
-        for line in encoded:
-            stream_crc = zlib.crc32(line, stream_crc)
-        encoded.append(
-            _frame_line(
-                {"e": "seal", "n": len(entries), "crc": stream_crc}
-            ).encode("utf-8")
-        )
+        encoded = [frame(header).encode("utf-8")]
+        encoded.extend(e.line() for e in entries)
+        seal = StreamSeal()
+        seal.add(encoded[0], count=False)
+        for line in encoded[1:]:
+            seal.add(line)
+        encoded.append(seal.line().encode("utf-8"))
         with _aw.atomic_write(self.manifest_path, fsync=False) as f:
             f.write(b"".join(encoded))
         # Adopt the new generation in-process and retire the old files.

@@ -34,9 +34,6 @@ class Regex:
     def __add__(self, other: "Regex") -> "Regex":
         return Concat(self, other)
 
-    def star(self) -> "Regex":
-        return Star(self)
-
     def plus(self) -> "Regex":
         return Plus(self)
 

@@ -45,10 +45,8 @@ from repro.serve.daemon import (
 )
 from repro.serve.journal import (
     JOURNAL_FORMAT,
-    JournalScanReport,
     JournalState,
     RequestJournal,
-    looks_like_request_journal,
     replay_journal,
     salvage_journal,
     scan_journal,
@@ -61,7 +59,6 @@ __all__ = [
     "Deadline",
     "GrammarService",
     "JOURNAL_FORMAT",
-    "JournalScanReport",
     "JournalState",
     "Request",
     "RequestJournal",
@@ -69,7 +66,6 @@ __all__ = [
     "ServeResult",
     "TranslationServer",
     "WorkerHandle",
-    "looks_like_request_journal",
     "replay_journal",
     "salvage_journal",
     "scan_journal",

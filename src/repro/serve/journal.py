@@ -3,15 +3,15 @@
 A long-lived service that can be killed at any instant owes its
 operator an exact answer to "which requests completed?".  The serve
 daemon streams one line per request-state transition into an
-append-only NDJSON journal with the PROV1 framing discipline
-(``repro.obs.provenance``): every line is canonical JSON carrying its
-own CRC32, and a graceful drain appends a seal line covering the whole
-stream.  Unlike a provenance log the journal must be *readable after a
-crash* — a SIGKILLed daemon leaves an unsealed journal, possibly with
-one torn final line, and that is an expected state: the checksum-valid
-prefix is authoritative (a torn tail is reported, not fatal), and
-anything the prefix says ``done`` was durably completed before the
-crash.
+append-only NDJSON journal with the sealed-log framing shared by
+every line log (:mod:`repro.util.sealedlog`): every line is canonical
+JSON carrying its own CRC32, and a graceful drain appends a seal line
+covering the whole stream.  Unlike a provenance log the journal must
+be *readable after a crash* — a SIGKILLed daemon leaves an unsealed
+journal, possibly with one torn final line, and that is an expected
+state: the checksum-valid prefix is authoritative (a torn tail is
+reported, not fatal), and anything the prefix says ``done`` was
+durably completed before the crash.
 
 Record kinds (field ``e``)::
 
@@ -38,29 +38,29 @@ unverifiable line immediately before a valid ``gap`` record as
 :func:`scan_journal` verifies, :func:`salvage_journal` recovers the
 valid prefix into a freshly sealed journal, and :func:`replay_journal`
 reduces the record stream to a :class:`JournalState` (completed /
-failed / in-flight requests) — the crash-recovery report.
+failed / in-flight requests) — the crash-recovery report.  The
+scanning itself is :func:`repro.util.sealedlog.scan` under
+:data:`JOURNAL_LOG`'s rules.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import JournalCorruptionError
 from repro.util import atomic_write as _aw
-from repro.util.atomic_write import atomic_write
+from repro.util import sealedlog
+from repro.util.sealedlog import LogFormat, ScanReport, StreamSeal, frame
 
 __all__ = [
     "JOURNAL_FORMAT",
+    "JOURNAL_LOG",
     "JOURNAL_NAME",
-    "JournalScanReport",
     "JournalState",
     "RequestJournal",
-    "looks_like_request_journal",
     "replay_journal",
     "salvage_journal",
     "scan_journal",
@@ -72,49 +72,16 @@ JOURNAL_FORMAT = "SRVJ1"
 #: Default file name inside a ``--journal`` directory.
 JOURNAL_NAME = "requests.ndjson"
 
-_SEPARATORS = (",", ":")
+#: SRVJ1's sealed-log rules: gap markers, and an unsealed journal with
+#: a torn final line is the expected artifact of a killed daemon.
+JOURNAL_LOG = LogFormat(
+    JOURNAL_FORMAT, JournalCorruptionError,
+    kinds=frozenset({"req", "done", "fail"}), gaps=True, unsealed_ok=True,
+)
 
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _frame(obj: Dict[str, Any]) -> str:
-    """One journal line: canonical JSON + its own CRC32 (PROV1 framing)."""
-    body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return f'{body[:-1]},"c":{crc}}}\n'
-
-
-def _verify_line(line: str, index: int, path: str) -> Dict[str, Any]:
-    """Parse + CRC-check one line; raise naming the damaged record."""
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        raise JournalCorruptionError(
-            f"journal record {index} is not valid JSON ({exc})",
-            record_index=index,
-            path=path,
-            reason="framing",
-        ) from exc
-    if not isinstance(obj, dict) or "c" not in obj:
-        raise JournalCorruptionError(
-            f"journal record {index} has no checksum field",
-            record_index=index,
-            path=path,
-            reason="framing",
-        )
-    want = obj.pop("c")
-    body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-    if zlib.crc32(body.encode("utf-8")) != want:
-        raise JournalCorruptionError(
-            f"journal record {index} checksum mismatch "
-            "(bit rot or torn write)",
-            record_index=index,
-            path=path,
-            reason="checksum",
-        )
-    return obj
 
 
 def journal_path(directory_or_file: str) -> str:
@@ -173,8 +140,8 @@ class RequestJournal:
         self.rotated_from = rotate_existing(path)
         self.path = path
         self._fsync_every_done = fsync_every_done
-        self._seq = 0
-        self._stream_crc = 0
+        #: Running seal; ``n`` doubles as the request-record sequence.
+        self._seal = StreamSeal()
         self._sealed = False
         self._suspended = False
         self._lost = 0
@@ -196,7 +163,7 @@ class RequestJournal:
         self._emit(
             {
                 "e": "req",
-                "i": self._seq,
+                "i": self._seal.n,
                 "id": request_id,
                 "g": grammar,
                 "sha": sha256_text(text),
@@ -215,7 +182,7 @@ class RequestJournal:
         self._emit(
             {
                 "e": "done",
-                "i": self._seq,
+                "i": self._seal.n,
                 "id": request_id,
                 "g": grammar,
                 "sha": sha256_text(output),
@@ -237,7 +204,7 @@ class RequestJournal:
         self._emit(
             {
                 "e": "fail",
-                "i": self._seq,
+                "i": self._seal.n,
                 "id": request_id,
                 "g": grammar,
                 "t": error_type,
@@ -260,7 +227,7 @@ class RequestJournal:
         if self._suspended and not self.resume():
             self.close()
             return
-        line = _frame({"e": "seal", "n": self._seq, "crc": self._stream_crc})
+        line = self._seal.line()
         try:
             self._f.write(line)
             _aw.fsync_file(self._f)
@@ -315,13 +282,13 @@ class RequestJournal:
             return True
         if self._f is None:
             return False
-        line = _frame({"e": "gap", "lost": self._lost, "base": self._seq})
+        line = frame({"e": "gap", "lost": self._lost, "base": self._seal.n})
         try:
             self._f.write("\n" + line)
             _aw.fsync_file(self._f)
         except OSError:
             return False
-        self._stream_crc = zlib.crc32(line.encode("utf-8"))
+        self._seal.restart(line.encode("utf-8"), self._seal.n)
         self._suspended = False
         self._lost = 0
         if self._metrics is not None:
@@ -340,7 +307,7 @@ class RequestJournal:
             if self._metrics is not None:
                 self._metrics.counter("serve.journal.lost_records").inc()
             return
-        line = _frame(obj)
+        line = frame(obj)
         try:
             self._f.write(line)
             self._f.flush()
@@ -356,9 +323,7 @@ class RequestJournal:
             if self._metrics is not None:
                 self._metrics.counter("serve.journal.lost_records").inc()
             return
-        self._stream_crc = zlib.crc32(line.encode("utf-8"), self._stream_crc)
-        if count:
-            self._seq += 1
+        self._seal.add(line.encode("utf-8"), count)
         if self._metrics is not None:
             self._metrics.counter("serve.journal.records").inc()
             self._metrics.counter("serve.journal.bytes").inc(len(line))
@@ -369,210 +334,33 @@ class RequestJournal:
 # ---------------------------------------------------------------------------
 
 
-def looks_like_request_journal(path: str) -> bool:
-    """Cheap sniff used by ``repro fsck`` to route files: a request
-    journal is NDJSON whose first line carries the SRVJ1 format tag."""
-    try:
-        with open(path, "rb") as f:
-            head = f.read(4096)
-    except OSError:
-        return False
-    first = head.split(b"\n", 1)[0]
-    return first.startswith(b"{") and (
-        b'"' + JOURNAL_FORMAT.encode() + b'"' in first
-    )
+def _scan(path: str, metrics=None):
+    report, records = sealedlog.scan(journal_path(path), JOURNAL_LOG, metrics)
+    return report, [obj for obj, _ in records[1:]]
 
 
-@dataclass
-class JournalScanReport:
-    """Outcome of verifying a journal file."""
-
-    path: str
-    ok: bool = True
-    sealed: bool = False
-    torn_tail: bool = False
-    n_valid: int = 0
-    #: Explicit suspension markers in the stream (disk-full episodes).
-    gaps: int = 0
-    #: Records the writer declared dropped across all gap markers.
-    lost_records: int = 0
-    error: Optional[JournalCorruptionError] = None
-
-    def render(self) -> str:
-        state = (
-            "sealed"
-            if self.sealed
-            else "UNSEALED (daemon did not drain cleanly)"
+def scan_journal(path: str, metrics=None) -> ScanReport:
+    """Verify every line of a journal (see the module docstring for what
+    counts as corruption vs an expected crash artifact); a clean scan
+    notes the replayed request counts."""
+    report, records = _scan(path, metrics)
+    if report.ok:
+        state = _reduce(report, records)
+        report.notes.append(
+            f"  requests: {len(state.completed)} completed, "
+            f"{len(state.failed)} failed, "
+            f"{len(state.in_flight)} in flight at shutdown"
+            + (f", {len(state.duplicates)} DUPLICATED"
+               if state.duplicates else "")
         )
-        lines = [
-            f"request journal: {self.path}",
-            f"  format: {JOURNAL_FORMAT}, {state}",
-            f"  valid records: {self.n_valid}"
-            + (" + torn tail line (expected after a kill)"
-               if self.torn_tail else ""),
-        ]
-        if self.gaps:
-            lines.append(
-                f"  gaps: {self.gaps} suspension(s), "
-                f"{self.lost_records} record(s) explicitly dropped "
-                "(disk pressure)"
-            )
-        if self.ok:
-            lines.append("  integrity: OK")
-        else:
-            assert self.error is not None
-            lines.append(
-                f"  integrity: CORRUPT at {self.error.locus()} "
-                f"[{self.error.reason}]"
-            )
-        return "\n".join(lines)
-
-
-def _read_lines(path: str) -> List[str]:
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        raw = f.read()
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # a final line without its newline is a torn write;
-    return lines     # the scanners judge it by its (failing) checksum
-
-
-def _peek_gap(lines: List[str], index: int, path: str) -> bool:
-    """True when ``lines[index]`` is a checksum-valid gap record."""
-    if index >= len(lines):
-        return False
-    try:
-        obj = _verify_line(lines[index], index, path)
-    except JournalCorruptionError:
-        return False
-    return obj.get("e") == "gap"
-
-
-def _scan(path: str) -> Tuple[JournalScanReport, List[Dict[str, Any]]]:
-    """The one verifying walk behind scan/salvage/replay.
-
-    Returns the report plus every accepted record (hdr/req/done/fail/
-    gap/seal) in stream order.  Gap tolerance: at most one
-    unverifiable line is skipped when the *next* line is a valid gap
-    record — that fragment is the write the journal declared lost
-    before suspending, explicitly truncated by the resume newline.
-    """
-    report = JournalScanReport(path=path)
-    accepted: List[Dict[str, Any]] = []
-    try:
-        lines = _read_lines(path)
-    except OSError as exc:
-        report.ok = False
-        report.error = JournalCorruptionError(
-            f"cannot read journal: {exc}", path=path, reason="io"
-        )
-        return report, accepted
-    stream_crc = 0
-    n_counted = 0
-    index = 0
-    while index < len(lines):
-        line = lines[index]
-        try:
-            obj = _verify_line(line, index, path)
-        except JournalCorruptionError as exc:
-            if _peek_gap(lines, index + 1, path):
-                # The torn fragment a failed write left behind; the
-                # following gap record owns this damage.
-                index += 1
-                continue
-            if index == len(lines) - 1 and not report.sealed:
-                # Torn final line of an unsealed journal: expected
-                # after SIGKILL; the valid prefix stays authoritative.
-                report.torn_tail = True
-                break
-            report.ok = False
-            report.error = exc
-            break
-        if obj.get("e") == "gap":
-            # Suspension marker: the stream CRC restarts here and the
-            # record count rewinds to what the writer durably counted
-            # (a complete line whose flush failed was declared lost).
-            report.gaps += 1
-            report.lost_records += int(obj.get("lost", 0))
-            stream_crc = zlib.crc32((line + "\n").encode("utf-8"))
-            n_counted = int(obj.get("base", n_counted))
-            report.n_valid += 1
-            accepted.append(obj)
-            index += 1
-            continue
-        if obj.get("e") == "seal":
-            if obj.get("n") != n_counted or obj.get("crc") != stream_crc:
-                report.ok = False
-                report.error = JournalCorruptionError(
-                    f"journal seal mismatch: seal covers {obj.get('n')} "
-                    f"record(s) crc {obj.get('crc')}, stream has "
-                    f"{n_counted} crc {stream_crc}",
-                    record_index=index,
-                    path=path,
-                    reason="seal",
-                )
-                break
-            report.sealed = True
-            accepted.append(obj)
-            index += 1
-            continue
-        stream_crc = zlib.crc32((line + "\n").encode("utf-8"), stream_crc)
-        if obj.get("e") != "hdr":
-            n_counted += 1
-        report.n_valid += 1
-        accepted.append(obj)
-        index += 1
-    if report.n_valid == 0 and report.ok:
-        report.ok = False
-        report.error = JournalCorruptionError(
-            "journal has no valid header line",
-            record_index=0,
-            path=path,
-            reason="header",
-        )
-    return report, accepted
-
-
-def scan_journal(path: str, metrics=None) -> JournalScanReport:
-    """Verify every line of a journal; see module docstring for what
-    counts as corruption vs an expected crash artifact."""
-    path = journal_path(path)
-    report, _ = _scan(path)
-    if metrics is not None:
-        metrics.counter("serve.journal.scans").inc()
-        if not report.ok:
-            metrics.counter("serve.journal.corrupt").inc()
     return report
 
 
-def salvage_journal(path: str, out_path: str, metrics=None) -> JournalScanReport:
+def salvage_journal(path: str, out_path: str, metrics=None) -> ScanReport:
     """Recover the checksum-valid prefix of ``path`` into a freshly
-    sealed journal at ``out_path`` (always sealed, always clean; gap
-    markers are dropped — the records they stood in for were never on
-    disk)."""
-    path = journal_path(path)
-    report, accepted = _scan(path)
-    if metrics is not None:
-        metrics.counter("serve.journal.scans").inc()
-        if not report.ok:
-            metrics.counter("serve.journal.corrupt").inc()
-    stream_crc = 0
-    n_counted = 0
-    kept: List[str] = []
-    for obj in accepted:
-        if obj.get("e") in ("seal", "gap"):
-            continue
-        line = _frame(obj)
-        kept.append(line)
-        stream_crc = zlib.crc32(line.encode("utf-8"), stream_crc)
-        if obj.get("e") != "hdr":
-            n_counted += 1
-    with atomic_write(out_path, text=True, encoding="utf-8") as f:
-        f.writelines(kept)
-        f.write(_frame({"e": "seal", "n": n_counted, "crc": stream_crc}))
-    if metrics is not None:
-        metrics.counter("serve.journal.salvaged").inc()
-    return report
+    sealed journal at ``out_path`` (gap markers are dropped — the
+    records they stood in for were never on disk)."""
+    return sealedlog.salvage(journal_path(path), out_path, JOURNAL_LOG, metrics)
 
 
 @dataclass
@@ -606,22 +394,23 @@ def replay_journal(path: str) -> JournalState:
     """Reduce a (possibly unsealed, possibly torn-tailed) journal to its
     :class:`JournalState`; raises :class:`JournalCorruptionError` on
     damage *inside* the stream (not an expected crash artifact)."""
-    path = journal_path(path)
-    report, accepted = _scan(path)
+    report, records = _scan(path)
     if not report.ok:
         raise report.error
+    return _reduce(report, records)
+
+
+def _reduce(report: ScanReport, records: List[Dict[str, Any]]) -> JournalState:
     state = JournalState(
-        path=path,
+        path=report.path,
         sealed=report.sealed,
         torn_tail=report.torn_tail,
         gaps=report.gaps,
         lost_records=report.lost_records,
     )
     admitted: Dict[Any, bool] = {}
-    for obj in accepted:
+    for obj in records:
         kind = obj.get("e")
-        if kind in ("hdr", "seal", "gap"):
-            continue
         state.n_records += 1
         rid = obj.get("id")
         if kind == "req":
