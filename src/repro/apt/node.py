@@ -56,8 +56,15 @@ class APTNode:
     def byte_size(self) -> int:
         """Approximate record size: header word, symbol tag, attributes."""
         total = 4 + max(2, len(self.symbol) // 2)
-        for name, value in self.attrs.items():
-            total += 2 + estimate_bytes(value)
+        for value in self.attrs.values():
+            # Exact-type fast paths with estimate_bytes' figures.
+            kind = type(value)
+            if kind is int or kind is bool or value is None:
+                total += 4
+            elif kind is str:
+                total += 2 + max(2, len(value))
+            else:
+                total += 2 + estimate_bytes(value)
         return total
 
     def copy(self) -> "APTNode":

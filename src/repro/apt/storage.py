@@ -5,7 +5,8 @@ sequentially either **forward or backward** — the whole §II evaluation
 paradigm rests on reading the previous pass's output file backwards.
 :class:`DiskSpool` keeps records on real secondary storage;
 :class:`MemorySpool` is the fast equivalent for tests.  Both charge
-every transfer to an :class:`~repro.util.iotrack.IOAccountant`.
+their traffic to an :class:`~repro.util.iotrack.IOAccountant`: writes
+once at ``finalize()``, reads once when a read sweep ends.
 
 Durable format v2
 -----------------
@@ -231,8 +232,6 @@ class Spool:
         self._write_blob(blob)
         self.n_records += 1
         self.data_bytes += len(blob)
-        if self.accountant is not None:
-            self.accountant.charge_write(len(blob), self.channel)
         if self.tracer is not None:
             self.tracer.instant(
                 "spool.write", cat="io", channel=self.channel, nbytes=len(blob)
@@ -240,37 +239,48 @@ class Spool:
 
     def append_blobs(self, blobs: List[bytes]) -> None:
         """Append many already-encoded records (subclasses may batch
-        the framing and accounting)."""
+        the framing)."""
         for blob in blobs:
             self.append_blob(blob)
 
     def finalize(self) -> None:
-        """End the writing phase; the spool becomes readable."""
+        """End the writing phase; the spool becomes readable.  The
+        accountant is charged for every record written, once."""
+        if not self._finalized and self.accountant is not None \
+                and self.n_records:
+            self.accountant.charge_write_many(
+                self.n_records, self.data_bytes, self.channel
+            )
         self._finalized = True
 
     # -- reading ----------------------------------------------------------
 
     def read_forward(self) -> Iterator[Any]:
-        self._require_finalized()
-        for blob in self._iter_blobs_forward():
-            if self.accountant is not None:
-                self.accountant.charge_read(len(blob), self.channel)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "spool.read", cat="io", channel=self.channel, nbytes=len(blob)
-                )
-            yield self._decode(blob)
+        return self._sweep(self._iter_blobs_forward)
 
     def read_backward(self) -> Iterator[Any]:
+        return self._sweep(self._iter_blobs_backward)
+
+    def _sweep(self, blobs) -> Iterator[Any]:
+        """Decode the records of ``blobs()``.  The accountant is charged
+        once, for exactly the records yielded, when the sweep is
+        exhausted or closed."""
         self._require_finalized()
-        for blob in self._iter_blobs_backward():
-            if self.accountant is not None:
-                self.accountant.charge_read(len(blob), self.channel)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "spool.read", cat="io", channel=self.channel, nbytes=len(blob)
-                )
-            yield self._decode(blob)
+        tracer = self.tracer
+        decode = self._decode
+        n = nbytes = 0
+        try:
+            for n, blob in enumerate(blobs(), 1):
+                nbytes += len(blob)
+                if tracer is not None:
+                    tracer.instant(
+                        "spool.read", cat="io", channel=self.channel,
+                        nbytes=len(blob),
+                    )
+                yield decode(blob)
+        finally:
+            if self.accountant is not None and n:
+                self.accountant.charge_read_many(n, nbytes, self.channel)
 
     def _require_finalized(self) -> None:
         if not self._finalized:
@@ -433,21 +443,23 @@ class AdaptiveSpool(Spool):
     # -- writing ----------------------------------------------------------
 
     def _estimate(self, record: Any) -> int:
-        i = self.n_records
-        if i < self.EXACT_HEAD or not i % self.SAMPLE_EVERY:
-            nbytes = len(self._probe.encode(record))
-            self._sample_bytes += nbytes
-            self._sample_count += 1
-            self._avg_bytes = self._sample_bytes // self._sample_count
-            if i < self.EXACT_HEAD:
-                return nbytes
-        return self._avg_bytes
+        """Probe-encode ``record`` into the running average; head
+        records are charged their exact size, samples the average."""
+        nbytes = len(self._probe.encode(record))
+        self._sample_bytes += nbytes
+        self._sample_count += 1
+        self._avg_bytes = self._sample_bytes // self._sample_count
+        return nbytes if self.n_records < self.EXACT_HEAD else self._avg_bytes
 
     def append(self, record: Any) -> None:
         if self._finalized:
             raise EvaluationError(f"spool {self.channel!r} already finalized")
         if self._disk is None:
-            nbytes = self._estimate(record)
+            i = self.n_records
+            if i < self.EXACT_HEAD or not i % self.SAMPLE_EVERY:
+                nbytes = self._estimate(record)
+            else:
+                nbytes = self._avg_bytes
             self._records.append(record)
             self._mem_bytes += nbytes
         else:
@@ -463,8 +475,6 @@ class AdaptiveSpool(Spool):
         self._sizes.append(nbytes)
         self.n_records += 1
         self.data_bytes += nbytes
-        if self.accountant is not None:
-            self.accountant.charge_write(nbytes, self.channel)
         if self.tracer is not None:
             self.tracer.instant(
                 "spool.write", cat="io", channel=self.channel, nbytes=nbytes
@@ -475,9 +485,8 @@ class AdaptiveSpool(Spool):
     def _spill(self) -> None:
         """Replay the buffered records into a fresh v3 temp DiskSpool.
 
-        The inner spool carries no accountant/tracer of its own — the
-        replayed records were already charged at append time, and all
-        future traffic is charged by this wrapper — but it shares the
+        The inner spool carries no accountant/tracer of its own — all
+        traffic is charged by this wrapper — but it shares the
         metrics registry so corruption/codec counters keep flowing.
         """
         if self.disk_budget is not None:
@@ -521,43 +530,42 @@ class AdaptiveSpool(Spool):
 
     # -- reading ----------------------------------------------------------
 
-    def _charge_read(self, nbytes: int) -> None:
-        if self.accountant is not None:
-            self.accountant.charge_read(nbytes, self.channel)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "spool.read", cat="io", channel=self.channel, nbytes=nbytes
-            )
-
     def read_forward(self) -> Iterator[Any]:
-        self._require_finalized()
-        if self._disk is None:
-            for record, nbytes in zip(self._records, self._sizes):
-                self._charge_read(nbytes)
-                yield record
-        else:
-            decode = self._disk._decode
-            for blob, nbytes in zip(
-                self._disk._iter_blobs_forward(), self._sizes
-            ):
-                self._charge_read(nbytes)
-                yield decode(blob)
+        return self._sweep(False)
 
     def read_backward(self) -> Iterator[Any]:
+        return self._sweep(True)
+
+    def _sweep(self, backward: bool) -> Iterator[Any]:
+        """Yield the records in one direction, each charged its size
+        from ``_sizes``: once, for exactly the records yielded, when the
+        sweep is exhausted or closed."""
         self._require_finalized()
-        if self._disk is None:
-            for record, nbytes in zip(
-                reversed(self._records), reversed(self._sizes)
-            ):
-                self._charge_read(nbytes)
-                yield record
+        sizes = self._sizes
+        disk = self._disk
+        if disk is None:
+            records = (reversed(self._records) if backward
+                       else iter(self._records))
         else:
-            decode = self._disk._decode
-            for blob, nbytes in zip(
-                self._disk._iter_blobs_backward(), reversed(self._sizes)
-            ):
-                self._charge_read(nbytes)
-                yield decode(blob)
+            blobs = (disk._iter_blobs_backward() if backward
+                     else disk._iter_blobs_forward())
+            records = map(disk._decode, blobs)
+        tracer = self.tracer
+        n = 0
+        try:
+            for n, record in enumerate(records, 1):
+                if tracer is not None:
+                    tracer.instant(
+                        "spool.read", cat="io", channel=self.channel,
+                        nbytes=sizes[-n] if backward else sizes[n - 1],
+                    )
+                yield record
+        finally:
+            if self.accountant is not None and n:
+                yielded = sizes[len(sizes) - n:] if backward else sizes[:n]
+                self.accountant.charge_read_many(
+                    n, sum(yielded), self.channel
+                )
 
     def close(self) -> None:
         if self._disk is not None:
@@ -764,10 +772,10 @@ class DiskSpool(Spool):
             self._writer.write(_LEN.pack(len(blob)))
 
     def append_blobs(self, blobs: List[bytes]) -> None:
-        """Bulk raw append: one accounting charge and one trace event
-        for the whole batch, with the v3 framing loop kept local.  The
-        incremental memo splices thousands of sealed blobs per hit
-        through here; per-record overhead is the price of a splice."""
+        """Bulk raw append: one trace event for the whole batch, with
+        the v3 framing loop kept local.  The incremental memo splices
+        thousands of sealed blobs per hit through here; per-record
+        overhead is the price of a splice."""
         if self._finalized:
             raise EvaluationError(f"spool {self.channel!r} already finalized")
         if self.format_version != FORMAT_V3 or self._writer is None:
@@ -796,13 +804,6 @@ class DiskSpool(Spool):
         self._block_records = recs
         self.n_records += len(blobs)
         self.data_bytes += nbytes
-        if self.accountant is not None:
-            charge = getattr(self.accountant, "charge_write_many", None)
-            if charge is not None:
-                charge(len(blobs), nbytes, self.channel)
-            else:
-                for blob in blobs:
-                    self.accountant.charge_write(len(blob), self.channel)
         if self.tracer is not None:
             self.tracer.instant(
                 "spool.write", cat="io", channel=self.channel,

@@ -514,6 +514,13 @@ class AlternatingPassDriver:
                     if tracer is not None:
                         tracer.end()
                 self.pass_times.append(seconds)
+                # Close the pass before taking its stats: the input
+                # sweep and the output spool are charged as they end.
+                if not runtime.at_end():
+                    raise EvaluationError(
+                        f"pass {plan.pass_k} did not consume the whole APT file"
+                    )
+                spool_out.finalize()
                 self.pass_stats.append(
                     {
                         "pass": plan.pass_k,
@@ -526,17 +533,13 @@ class AlternatingPassDriver:
                         "peak_bytes": self.gauge.peak_bytes,
                     }
                 )
-                if not runtime.at_end():
-                    raise EvaluationError(
-                        f"pass {plan.pass_k} did not consume the whole APT file"
-                    )
-                spool_out.finalize()
             except BaseException:
                 # A failed pass must not leak its half-written output
                 # spool (or the previous intermediate) as stray
                 # apt_*.spool temp files.
                 if rec is not None:
                     rec.abort()
+                reader.close()  # charges the records it yielded
                 spool_out.close()
                 if spool_in is not initial:
                     spool_in.close()

@@ -251,22 +251,13 @@ class IOStats:
     """Record/byte traffic counters shared by totals and channels.
 
     One dataclass serves both the accountant's totals and each
-    per-channel breakdown — previously ``ChannelStats`` duplicated the
-    fields and ``charge_*`` logic.
+    per-channel breakdown; :class:`IOAccountant` does the charging.
     """
 
     records_read: int = 0
     records_written: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-
-    def charge_read(self, nbytes: int) -> None:
-        self.records_read += 1
-        self.bytes_read += nbytes
-
-    def charge_write(self, nbytes: int) -> None:
-        self.records_written += 1
-        self.bytes_written += nbytes
 
     @property
     def total_bytes(self) -> int:
@@ -309,22 +300,26 @@ class IOAccountant(IOStats):
     by_channel: Dict[str, IOStats] = field(default_factory=dict)
 
     def charge_read(self, nbytes: int, channel: str = "") -> None:
-        self.records_read += 1
-        self.bytes_read += nbytes
-        if channel:
-            self._channel(channel).charge_read(nbytes)
+        self.charge_read_many(1, nbytes, channel)
 
     def charge_write(self, nbytes: int, channel: str = "") -> None:
-        self.records_written += 1
-        self.bytes_written += nbytes
+        self.charge_write_many(1, nbytes, channel)
+
+    def charge_read_many(self, n: int, nbytes: int, channel: str = "") -> None:
+        """Charge ``n`` read records totalling ``nbytes`` in one call
+        (spools charge each read sweep once, when it ends)."""
+        self.records_read += n
+        self.bytes_read += nbytes
         if channel:
-            self._channel(channel).charge_write(nbytes)
+            stats = self._channel(channel)
+            stats.records_read += n
+            stats.bytes_read += nbytes
 
     def charge_write_many(
         self, n: int, nbytes: int, channel: str = ""
     ) -> None:
         """Charge ``n`` written records totalling ``nbytes`` in one call
-        (the bulk splice path; totals match ``n`` charge_write calls)."""
+        (spools charge everything they hold once, at ``finalize``)."""
         self.records_written += n
         self.bytes_written += nbytes
         if channel:

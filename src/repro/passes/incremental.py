@@ -311,10 +311,10 @@ class _RecordListSpool(Spool):
         self._finalized = True
 
     def read_forward(self):
-        return iter(self._records)
+        yield from self._records
 
     def read_backward(self):
-        return iter(reversed(self._records))
+        yield from reversed(self._records)
 
 
 class _Frontend:
