@@ -86,28 +86,29 @@ class APTBuilder(ParseListener):
         self._c_bytes = (
             metrics.counter("apt.node_bytes") if metrics is not None else None
         )
+        #: Build plans, resolved on first use: per terminal kind
+        #: ``(symbol, intrinsic attribute names, byte size if attribute-less)``
+        #: (None for ``$eof``); per parser production index
+        #: ``(lhs, AG production index, rhs length, limb, node size, limb size)``
+        #: (None for the synthetic ``$accept`` production).
+        self._leaf_plans: Dict[str, Optional[tuple]] = {}
+        self._prod_plans: Dict[int, Optional[tuple]] = {}
 
-    # -- parser events -----------------------------------------------------
-
-    def on_shift(self, token: Token) -> None:
-        if token.kind == EOF_SYMBOL:
-            return
-        sym = self.ag.symbols.get(token.kind)
+    def _leaf_plan(self, kind: str) -> Optional[tuple]:
+        if kind == EOF_SYMBOL:
+            return None
+        sym = self.ag.symbols.get(kind)
         if sym is None or sym.kind is not SymbolKind.TERMINAL:
             raise EvaluationError(
-                f"parser shifted {token.kind!r}, which is not a terminal of "
+                f"parser shifted {kind!r}, which is not a terminal of "
                 f"attribute grammar {self.ag.name!r}"
             )
-        attrs: Dict[str, object] = {}
-        for attr in sym.intrinsic:
-            attrs[attr.name] = self.intrinsic_fn(token, sym.name, attr.name)
-        node = APTNode(symbol=sym.name, production=None, attrs=attrs)
-        self._emit(node)
-        self._stack.append(TreeNode(node))
+        intrinsic = tuple(attr.name for attr in sym.intrinsic)
+        return sym.name, intrinsic, APTNode(sym.name).byte_size()
 
-    def on_reduce(self, cfg_prod: CFGProduction) -> None:
+    def _prod_plan(self, cfg_prod: CFGProduction) -> Optional[tuple]:
         if cfg_prod.index == 0:
-            return  # the $accept production is synthetic
+            return None  # the $accept production is synthetic
         prod = self.ag.productions[cfg_prod.index - 1]
         if prod.lhs != cfg_prod.lhs or prod.rhs != cfg_prod.rhs:
             raise EvaluationError(
@@ -115,21 +116,50 @@ class APTBuilder(ParseListener):
                 f"grammar production {prod} — the same input file must drive "
                 "both tools"
             )
-        n = len(prod.rhs)
-        children = self._stack[len(self._stack) - n :] if n else []
-        del self._stack[len(self._stack) - n :]
-        limb_node: Optional[APTNode] = None
-        if prod.limb:
-            limb_node = APTNode(symbol=prod.limb, production=prod.index, is_limb=True)
-            self._emit(limb_node)
-        node = APTNode(symbol=prod.lhs, production=prod.index)
-        self._emit(node)
-        if self.build_tree:
-            self._stack.append(TreeNode(node, list(children), limb_node))
+        return (
+            prod.lhs, prod.index, len(prod.rhs), prod.limb,
+            APTNode(prod.lhs).byte_size(), APTNode(prod.limb).byte_size() if prod.limb else 0,
+        )
+
+    # -- parser events -----------------------------------------------------
+
+    def on_shift(self, token: Token) -> None:
+        try:
+            plan = self._leaf_plans[token.kind]
+        except KeyError:
+            plan = self._leaf_plans[token.kind] = self._leaf_plan(token.kind)
+        if plan is None:
+            return
+        symbol, intrinsic, nbytes = plan
+        if intrinsic:
+            fn = self.intrinsic_fn
+            node = APTNode(symbol, None, {name: fn(token, symbol, name) for name in intrinsic})
+            nbytes = node.byte_size()
         else:
-            # Streaming mode: drop child links so memory stays one
-            # parse-stack deep, the way the real tool worked.
-            self._stack.append(TreeNode(node, [], limb_node))
+            node = APTNode(symbol, None, {})
+        self._emit(node, nbytes)
+        self._stack.append(TreeNode(node))
+
+    def on_reduce(self, cfg_prod: CFGProduction) -> None:
+        try:
+            plan = self._prod_plans[cfg_prod.index]
+        except KeyError:
+            plan = self._prod_plans[cfg_prod.index] = self._prod_plan(cfg_prod)
+        if plan is None:
+            return
+        lhs, index, n, limb, node_bytes, limb_bytes = plan
+        stack = self._stack
+        children = stack[len(stack) - n :]
+        del stack[len(stack) - n :]
+        limb_node: Optional[APTNode] = None
+        if limb:
+            limb_node = APTNode(limb, index, {}, True)
+            self._emit(limb_node, limb_bytes)
+        node = APTNode(lhs, index, {})
+        self._emit(node, node_bytes)
+        # Streaming mode drops child links so memory stays one
+        # parse-stack deep, the way the real tool worked.
+        stack.append(TreeNode(node, children if self.build_tree else None, limb_node))
 
     # -- results -------------------------------------------------------------
 
@@ -158,9 +188,8 @@ class APTBuilder(ParseListener):
         if not self.build_tree:
             self.root = None  # streaming mode retains no tree
 
-    def _emit(self, node: APTNode) -> None:
+    def _emit(self, node: APTNode, nbytes: int) -> None:
         self.n_nodes += 1
-        nbytes = node.byte_size()
         self.total_node_bytes += nbytes
         if self._c_nodes is not None:
             self._c_nodes.inc()

@@ -100,6 +100,43 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
+def _node_production(record: Any) -> Optional[int]:
+    """The on-disk production field (-1 for None) when ``record`` takes
+    the node-record layout, else None (generic value encoding)."""
+    if not (
+        type(record) is tuple
+        and len(record) == 4
+        and type(record[0]) is str
+        and type(record[2]) is dict
+        and type(record[3]) is bool
+    ):
+        return None
+    production = record[1]
+    if production is None:
+        prod = -1
+    elif type(production) is int and -1 <= production <= 0x7FFFFFFF:
+        prod = production
+    else:
+        return None
+    if not all(type(k) is str for k in record[2]):
+        return None
+    return prod
+
+
+def _value_size(v: Any) -> int:
+    """Encoded byte size of one value, tag byte included."""
+    t = type(v)
+    if v is None or t is bool:
+        return 1
+    if (t is int and _I64_MIN <= v <= _I64_MAX) or t is float:
+        return 9
+    if t is str:
+        return 5 if len(v) <= MAX_INTERN_LEN else 5 + len(v.encode("utf-8"))
+    if t is tuple or t is list:
+        return 5 + sum(_value_size(item) for item in v)
+    return 5 + len(pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL))  # 'P' frame
+
+
 class RecordCodec:
     """Encode/decode spool records against a per-spool :class:`NameTable`.
 
@@ -119,30 +156,27 @@ class RecordCodec:
     def encode(self, record: Any) -> bytes:
         """Encode one record to bytes (node fast path or generic value)."""
         out = bytearray()
-        if (
-            type(record) is tuple
-            and len(record) == 4
-            and type(record[0]) is str
-            and (record[1] is None or type(record[1]) is int)
-            and type(record[2]) is dict
-            and type(record[3]) is bool
-            and -1 <= (record[1] if record[1] is not None else 0) <= _I64_MAX
-        ):
-            symbol, production, attrs, is_limb = record
-            if all(type(k) is str for k in attrs):
-                prod = -1 if production is None else production
-                if 0 <= prod <= 0x7FFFFFFF or prod == -1:
-                    out.append(0x52)  # 'R'
-                    out += _NODE_HEAD.pack(
-                        self.names.intern(symbol), prod,
-                        1 if is_limb else 0, len(attrs),
-                    )
-                    for name, value in attrs.items():
-                        out += _U32.pack(self.names.intern(name))
-                        self._encode_value(value, out)
-                    return bytes(out)
-        self._encode_value(record, out)
+        prod = _node_production(record)
+        if prod is None:
+            self._encode_value(record, out)
+            return bytes(out)
+        symbol, _, attrs, is_limb = record
+        out.append(0x52)  # 'R'
+        out += _NODE_HEAD.pack(
+            self.names.intern(symbol), prod, 1 if is_limb else 0, len(attrs),
+        )
+        for name, value in attrs.items():
+            out += _U32.pack(self.names.intern(name))
+            self._encode_value(value, out)
         return bytes(out)
+
+    @staticmethod
+    def encoded_size(record: Any) -> int:
+        """``len(encode(record))``, computed without building the bytes
+        or interning any name."""
+        if _node_production(record) is None:
+            return _value_size(record)
+        return 1 + _NODE_HEAD.size + sum(4 + _value_size(v) for v in record[2].values())
 
     def _encode_value(self, v: Any, out: bytearray) -> None:
         t = type(v)

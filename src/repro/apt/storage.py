@@ -385,10 +385,10 @@ class AdaptiveSpool(Spool):
     paper's secondary-storage behavior for inputs that actually need it.
 
     Byte accounting stays meaningful without encoding every record:
-    the first ``EXACT_HEAD`` appends are probe-encoded through the v3
-    codec and charged their exact size (small spools — the common case
-    — account precisely), after which only every ``SAMPLE_EVERY``-th
-    record is probed and the running average is charged.  The charged
+    the first ``EXACT_HEAD`` appends are sized exactly by
+    :meth:`RecordCodec.encoded_size` (small spools — the common case —
+    account precisely), after which only every ``SAMPLE_EVERY``-th
+    record is sized and the running average is charged.  The charged
     size of each record is remembered so the read side mirrors the
     write side exactly (per-pass read/write byte symmetry holds, as it
     does for the real formats).  After a spill, appends charge actual
@@ -400,10 +400,10 @@ class AdaptiveSpool(Spool):
     the moment in the timeline.
     """
 
-    #: Probe-encode (and charge exactly) this many leading records.
+    #: Size (and charge exactly) this many leading records.
     EXACT_HEAD = 64
-    #: Past the head, probe-encode one record in this many to keep the
-    #: running average calibrated.
+    #: Past the head, size one record in this many to keep the running
+    #: average calibrated.
     SAMPLE_EVERY = 32
 
     def __init__(
@@ -430,7 +430,6 @@ class AdaptiveSpool(Spool):
         self._sizes: List[int] = []
         self._mem_bytes = 0
         self._disk: Optional[DiskSpool] = None
-        self._probe = RecordCodec()
         self._sample_bytes = 0
         self._sample_count = 0
         self._avg_bytes = 0
@@ -443,9 +442,9 @@ class AdaptiveSpool(Spool):
     # -- writing ----------------------------------------------------------
 
     def _estimate(self, record: Any) -> int:
-        """Probe-encode ``record`` into the running average; head
-        records are charged their exact size, samples the average."""
-        nbytes = len(self._probe.encode(record))
+        """Size ``record`` into the running average; head records are
+        charged their exact size, samples the average."""
+        nbytes = RecordCodec.encoded_size(record)
         self._sample_bytes += nbytes
         self._sample_count += 1
         self._avg_bytes = self._sample_bytes // self._sample_count

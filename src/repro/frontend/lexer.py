@@ -8,11 +8,8 @@ line (the paper's listings carry ``# pass 2`` comments).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.regex.generator import ScannerSpec
 from repro.regex.scanner import Scanner
-from repro.util.nametable import NameTable
 
 #: Keywords of the input language (section structure + expressions).
 KEYWORDS = [
@@ -76,7 +73,7 @@ LEXICAL_SPEC = _build_spec()
 _GENERATOR = None
 
 
-def make_scanner(names: Optional[NameTable] = None, filename: str = "<input>") -> Scanner:
+def make_scanner(filename: str = "<input>") -> Scanner:
     """A scanner for the input language (tables built once, cached)."""
     global _GENERATOR
     if _GENERATOR is None:
@@ -84,4 +81,4 @@ def make_scanner(names: Optional[NameTable] = None, filename: str = "<input>") -
 
         _GENERATOR = ScannerGenerator(LEXICAL_SPEC)
         _GENERATOR.build_tables()
-    return _GENERATOR.generate(names=names, filename=filename)
+    return _GENERATOR.generate(filename=filename)

@@ -33,7 +33,7 @@ from repro.frontend.astnodes import AGFile, AttrDecl, FuncDecl, ProdDecl, SymDec
 from repro.frontend.lexer import make_scanner
 from repro.lalr.grammar import Grammar
 from repro.lalr.parser import LALRParser, ParseListener
-from repro.lalr.tables import ParseTables, build_tables
+from repro.lalr.tables import build_tables
 from repro.regex.scanner import Token
 
 # ---------------------------------------------------------------------------
@@ -128,14 +128,15 @@ def input_language_grammar() -> Grammar:
     return Grammar("file", [(lhs, rhs, tag) for tag, lhs, rhs in _PRODUCTIONS])
 
 
-_TABLES: Optional[ParseTables] = None
+_PARSER: Optional[LALRParser] = None
 
 
-def _tables() -> ParseTables:
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = build_tables(input_language_grammar())
-    return _TABLES
+def _parser() -> LALRParser:
+    """The input language's parser (tables built once, cached)."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = LALRParser(build_tables(input_language_grammar()))
+    return _PARSER
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +273,8 @@ class _Builder(ParseListener):
 def parse_ag_text(text: str, filename: str = "<input>") -> AGFile:
     """Parse ``.ag`` source text into an :class:`AGFile` AST."""
     scanner = make_scanner(filename=filename)
-    parser = LALRParser(_tables())
     builder = _Builder()
-    parser.parse(scanner.tokens(text), listener=builder, build_tree=False)
+    _parser().parse(scanner.tokens(text), listener=builder, build_tree=False)
     # Stack: [AGFile, eof-token]
     result = next(v for v in builder.stack if isinstance(v, AGFile))
     result.source_lines = text.count("\n") + (0 if text.endswith("\n") else 1)

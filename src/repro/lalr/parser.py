@@ -12,11 +12,11 @@ the prefix-emission strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ParseError
 from repro.lalr.grammar import EOF_SYMBOL, Grammar, Production
-from repro.lalr.tables import Action, ActionKind, ParseTables
+from repro.lalr.tables import ActionKind, ParseTables
 from repro.regex.scanner import Token
 
 
@@ -65,12 +65,36 @@ class ParseListener:
         pass
 
 
+#: Action code of ACCEPT: it reads as "reduce by production 0", the
+#: synthetic ``$accept -> start $eof`` that is never reduced otherwise.
+_ACCEPT = ~0
+
+
 class LALRParser:
-    """Interprets LALR parse tables over a scanner's token stream."""
+    """Interprets LALR parse tables over a scanner's token stream.
+
+    The tables are read through integer action codes derived once per
+    parser: per state, a map from terminal to ``target`` (shift) or
+    ``~production`` (reduce, with ``~0`` for accept), and a map from
+    nonterminal to goto state; per production, ``(lhs, len(rhs))``.
+    """
 
     def __init__(self, tables: ParseTables):
         self.tables = tables
         self.grammar: Grammar = tables.grammar
+        self._actions: List[Dict[str, int]] = [{} for _ in range(tables.n_states)]
+        self._gotos: List[Dict[str, int]] = [{} for _ in range(tables.n_states)]
+        for (state, terminal), act in tables.action.items():
+            if act.kind is ActionKind.SHIFT:
+                code = act.target
+            elif act.kind is ActionKind.REDUCE:
+                code = ~act.target
+            else:
+                code = _ACCEPT
+            self._actions[state][terminal] = code
+        for (state, nonterminal), target in tables.goto.items():
+            self._gotos[state][nonterminal] = target
+        self._shapes = [(p.lhs, len(p.rhs)) for p in self.grammar.productions]
 
     def parse(
         self,
@@ -102,70 +126,72 @@ class LALRParser:
         build_tree: bool,
         span,
     ) -> Optional[ParseTreeNode]:
+        if listener is None:
+            listener = ParseListener()
+        on_shift = listener.on_shift
+        on_reduce = listener.on_reduce
+        actions = self._actions
+        gotos = self._gotos
+        shapes = self._shapes
+        productions = self.grammar.productions
         n_shifts = 0
         n_reduces = 0
-        state_stack: List[int] = [0]
+        state = 0
+        state_stack: List[int] = [state]
         node_stack: List[Optional[ParseTreeNode]] = []
         stream = iter(tokens)
         token = next(stream, None)
         if token is None:
             token = Token(EOF_SYMBOL, "", _loc())
         while True:
-            state = state_stack[-1]
-            act = self.tables.action_for(state, token.kind)
-            if act is None:
+            code = actions[state].get(token.kind)
+            if code is None:
                 expected = self.tables.expected_terminals(state)
                 raise ParseError(
                     f"{token.location}: syntax error at {token.kind} "
                     f"({token.text!r}); expected one of: {', '.join(expected)}"
                 )
-            if act.kind is ActionKind.SHIFT:
+            if code >= 0:  # shift
                 n_shifts += 1
-                if listener is not None:
-                    listener.on_shift(token)
-                state_stack.append(act.target)
-                node_stack.append(
-                    ParseTreeNode(token.kind, token=token) if build_tree else None
-                )
+                on_shift(token)
+                state = code
+                state_stack.append(state)
+                if build_tree:
+                    node_stack.append(ParseTreeNode(token.kind, token=token))
                 token = next(stream, None)
                 if token is None:
                     token = Token(EOF_SYMBOL, "", _loc())
-            elif act.kind is ActionKind.REDUCE:
+            elif code != _ACCEPT:  # reduce
                 n_reduces += 1
-                prod = self.grammar.productions[act.target]
-                n = len(prod.rhs)
-                children = node_stack[len(node_stack) - n :] if n else []
-                del state_stack[len(state_stack) - n :]
-                del node_stack[len(node_stack) - n :]
-                if listener is not None:
-                    listener.on_reduce(prod)
-                goto = self.tables.goto_for(state_stack[-1], prod.lhs)
-                if goto is None:
+                prod = ~code
+                lhs, n = shapes[prod]
+                if n:
+                    del state_stack[-n:]
+                if build_tree:
+                    children = node_stack[len(node_stack) - n :]
+                    del node_stack[len(node_stack) - n :]
+                on_reduce(productions[prod])
+                state = gotos[state_stack[-1]].get(lhs)
+                if state is None:
                     raise ParseError(
-                        f"internal: missing goto for {prod.lhs} in state {state_stack[-1]}"
+                        f"internal: missing goto for {lhs} in state {state_stack[-1]}"
                     )
-                state_stack.append(goto)
-                node_stack.append(
-                    ParseTreeNode(prod.lhs, production=prod, children=list(children))
-                    if build_tree
-                    else None
-                )
-            else:  # ACCEPT
+                state_stack.append(state)
+                if build_tree:
+                    node_stack.append(
+                        ParseTreeNode(lhs, production=productions[prod], children=children)
+                    )
+            else:  # accept
                 if span is not None:
                     span.args["n_shifts"] = n_shifts
                     span.args["n_reduces"] = n_reduces
-                if listener is not None:
-                    listener.on_shift(token)  # the $eof leaf
+                on_shift(token)  # the $eof leaf
                 if build_tree:
-                    root = ParseTreeNode(
-                        self.grammar.productions[0].lhs,
-                        production=self.grammar.productions[0],
-                        children=[
-                            node_stack[-1],
-                            ParseTreeNode(EOF_SYMBOL, token=token),
-                        ],
+                    return ParseTreeNode(
+                        productions[0].lhs,
+                        production=productions[0],
+                        children=[node_stack[-1], ParseTreeNode(EOF_SYMBOL, token=token)],
                     )
-                    return root
                 return None
 
 

@@ -17,7 +17,6 @@ from repro.regex.dfa import DFA, determinize, minimize
 from repro.regex.nfa import build_nfa
 from repro.regex.parser import parse_regex
 from repro.regex.scanner import Scanner
-from repro.util.nametable import NameTable
 
 
 @dataclass
@@ -44,8 +43,8 @@ class ScannerSpec:
         self.keywords[lexeme] = kind if kind is not None else lexeme
         return self
 
-    def generate(self, names: Optional[NameTable] = None, filename: str = "<input>") -> Scanner:
-        return ScannerGenerator(self).generate(names=names, filename=filename)
+    def generate(self, filename: str = "<input>") -> Scanner:
+        return ScannerGenerator(self).generate(filename=filename)
 
 
 class ScannerGenerator:
@@ -65,7 +64,7 @@ class ScannerGenerator:
             self._dfa = minimize(determinize(nfa))
         return self._dfa
 
-    def generate(self, names: Optional[NameTable] = None, filename: str = "<input>") -> Scanner:
+    def generate(self, filename: str = "<input>") -> Scanner:
         dfa = self.build_tables()
         return Scanner(
             dfa,
@@ -73,7 +72,6 @@ class ScannerGenerator:
             keywords=dict(self.spec.keywords),
             keyword_kinds=set(self.spec.keyword_kinds),
             intern_kinds=set(self.spec.intern_kinds),
-            names=names,
             filename=filename,
         )
 

@@ -9,18 +9,16 @@ source coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 
 from repro.errors import ScanError
-from repro.regex.ast import char_code
-from repro.regex.dfa import DEAD, DFA
+from repro.regex.ast import ALPHABET_SIZE, char_code
+from repro.regex.dfa import DFA
 from repro.util.nametable import NameTable
 from repro.errors import SourceLocation
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme: kind, text, source location, optional interned name."""
 
     kind: str
@@ -51,7 +49,9 @@ class Scanner:
     intern_kinds:
         kinds whose lexemes are interned in the name table and carried
         on the token as ``name_index`` — the paper's intrinsic
-        name-table-index attributes of terminal leaves.
+        name-table-index attributes of terminal leaves.  Each scan
+        interns into a fresh table (left in ``names``), so an index
+        depends only on the text being scanned.
     """
 
     def __init__(
@@ -61,7 +61,6 @@ class Scanner:
         keywords: Optional[Dict[str, str]] = None,
         keyword_kinds: Optional[Set[str]] = None,
         intern_kinds: Optional[Set[str]] = None,
-        names: Optional[NameTable] = None,
         filename: str = "<input>",
     ):
         self.dfa = dfa
@@ -69,54 +68,66 @@ class Scanner:
         self.keywords = keywords or {}
         self.keyword_kinds = keyword_kinds or {"IDENT"}
         self.intern_kinds = intern_kinds or set()
-        self.names = names if names is not None else NameTable()
+        self.names = NameTable()
         self.filename = filename
+        # The DFA as the scan loop reads it: one transition row per
+        # state, and each state's accept tag (None if not accepting).
+        self._rows = [
+            dfa.trans[s * ALPHABET_SIZE : (s + 1) * ALPHABET_SIZE]
+            for s in range(dfa.n_states)
+        ]
+        self._tags = [acc[1] if acc else None for acc in dfa.accepts]
 
     def tokens(self, text: str) -> Iterator[Token]:
         """Yield tokens of ``text``, ending with one EOF token."""
+        names = self.names = NameTable()
+        codes = text.encode("ascii") if text.isascii() else bytes(map(char_code, text))
+        rows = self._rows
+        tags = self._tags
+        start = self.dfa.start
+        skip = self.skip
+        keywords = self.keywords
+        keyword_kinds = self.keyword_kinds
+        intern_kinds = self.intern_kinds
+        filename = self.filename
         pos = 0
         line = 1
-        col = 1
+        line_start = 0  # offset of the first character of ``line``
         n = len(text)
-        dfa = self.dfa
         while pos < n:
-            state = dfa.start
-            last_accept: Optional[str] = None
-            last_end = pos
-            i = pos
+            state = start
+            kind: Optional[str] = None
+            end = i = pos
             while i < n:
-                state = dfa.step(state, char_code(text[i]))
-                if state == DEAD:
+                state = rows[state][codes[i]]
+                if state < 0:  # DEAD
                     break
                 i += 1
-                tag = dfa.accept_tag(state)
+                tag = tags[state]
                 if tag is not None:
-                    last_accept = tag
-                    last_end = i
-            if last_accept is None:
+                    kind = tag
+                    end = i
+            if kind is None:
                 raise ScanError(
-                    f"{self.filename}:{line}:{col}: illegal character {text[pos]!r}"
+                    f"{filename}:{line}:{pos - line_start + 1}: "
+                    f"illegal character {text[pos]!r}"
                 )
-            lexeme = text[pos:last_end]
-            loc = SourceLocation(line, col, self.filename)
-            # Advance source coordinates over the lexeme.
+            lexeme = text[pos:end]
+            if kind in keyword_kinds:
+                kind = keywords.get(lexeme, kind)
+            if kind not in skip:
+                yield Token(
+                    kind,
+                    lexeme,
+                    SourceLocation(line, pos - line_start + 1, filename),
+                    names.intern(lexeme) if kind in intern_kinds else 0,
+                )
             newlines = lexeme.count("\n")
             if newlines:
                 line += newlines
-                col = len(lexeme) - lexeme.rfind("\n")
-            else:
-                col += len(lexeme)
-            pos = last_end
-            kind = last_accept
-            if kind in self.keyword_kinds and lexeme in self.keywords:
-                kind = self.keywords[lexeme]
-            if kind in self.skip:
-                continue
-            name_index = 0
-            if kind in self.intern_kinds:
-                name_index = self.names.intern(lexeme)
-            yield Token(kind, lexeme, loc, name_index)
-        yield Token(EOF, "", SourceLocation(line, col, self.filename))
+                line_start = pos + lexeme.rfind("\n") + 1
+            pos = end
+        yield Token(EOF, "", SourceLocation(line, n - line_start + 1, filename))
 
     def scan(self, text: str) -> List[Token]:
         """Scan all of ``text`` into a token list (including EOF)."""

@@ -23,7 +23,7 @@ from repro.passes.schedule import Direction
 from repro.regex import build_nfa, determinize, minimize, parse_regex
 from repro.regex.ast import char_code
 from repro.regex.dfa import DEAD
-from repro.util.lists import ConsList, PartialFunction, Sequence, SetList
+from repro.util.lists import CatSeq, ConsList, PartialFunction, Sequence, SetList
 from repro.util.nametable import NameTable
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,26 @@ codec_values = st.recursive(
 )
 
 
+#: Values for the ``encoded_size`` property: beyond ``codec_values``,
+#: strings past MAX_INTERN_LEN with non-ASCII text, and CatSeq ropes
+#: (pickle fallback).
+sized_values = st.recursive(
+    st.one_of(
+        codec_values,
+        st.text(min_size=60, max_size=80),
+        st.text("é日λ𝄞a", min_size=1, max_size=90),
+        st.lists(st.integers(-3, 3), max_size=3).map(
+            lambda items: CatSeq(ConsList.from_iterable(items), ConsList.from_iterable(items))
+        ),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=8,
+)
+
+
 def _assert_type_faithful(a, b, path="value"):
     assert type(a) is type(b), f"{path}: {type(a)} != {type(b)}"
     if isinstance(a, (list, tuple)):
@@ -266,6 +286,24 @@ class TestRecordCodecProperties:
         record = (symbol, production, attrs, is_limb)
         decoded = codec.decode(codec.encode(record))
         _assert_type_faithful(decoded, record)
+
+    @given(
+        st.one_of(
+            st.tuples(
+                st.text(min_size=1, max_size=10),
+                st.one_of(st.none(), st.integers(-3, 2**31 + 3), st.integers()),
+                st.dictionaries(
+                    st.one_of(st.text(max_size=8), st.integers(0, 3)),
+                    sized_values, max_size=4,
+                ),
+                st.booleans(),
+            ),
+            sized_values,
+        )
+    )
+    @settings(max_examples=200)
+    def test_encoded_size_is_encoded_length(self, record):
+        assert RecordCodec.encoded_size(record) == len(RecordCodec().encode(record))
 
     @given(st.lists(st.text(min_size=1, max_size=30), unique=True))
     def test_name_table_section_round_trip(self, names):
